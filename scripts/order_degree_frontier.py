@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 
 from steinforge.cli import parse_polynomial
-from steinforge.derivation import derive_operator
+from steinforge.derivation import derive_operator, minimal_scan
 from steinforge.gaussian import hermite
 from steinforge.verify import verify_symbolic
 
@@ -41,22 +41,20 @@ def main() -> None:
     print(f"grid: orders 0..{max_order}, degrees 0..{max_degree}\n")
     header = "order\\deg " + " ".join(f"{d:>5d}" for d in range(max_degree + 1))
     print(header)
-    first = None
+    scan = minimal_scan(P, max_order, max_degree)
     for m in range(max_order + 1):
         row = [f"{m:>9d}"]
         for d in range(max_degree + 1):
-            r = derive_operator(P, m, d)
-            if r.found:
-                row.append(f"dim{r.nullspace_dim:>2d}")
-                if first is None:
-                    first = (m, d, r)
+            if scan.grid[(m, d)] == "found":
+                dim = derive_operator(P, m, d).nullspace_dim
+                row.append(f"dim{dim:>2d}")
             else:
                 row.append("    .")
         print(" ".join(row))
-    if first is None:
+    if scan.minimal is None:
         print("\nno operator in the searched family")
         return
-    m, d, r = first
+    (m, d), r = scan.minimal, scan.result
     print(f"\nfirst found cell: order {m}, degree {d}")
     print(f"operator: {r.operator.latex()}")
     print(f"leading coefficient: {r.operator.coefficients[-1]}")

@@ -11,15 +11,35 @@ indexed (k, j) is the only one whose largest term is (k + deg(P) - 2, j + 1).
 Eliminating identity multipliers therefore reduces to back-substitution
 (a no-fill pivot order for the homogeneous system), after which only a small
 dense nullspace problem over the operator coefficients remains.
+
+The caps never bind. Let p = deg(P) and reduce the image of x^d f^(m), whose
+terms are (i, m) with i <= p*d, with caps I >= p*(m + d) and J >= m.
+Reducing the term (i, j) uses identity (k, j - 1) with k = i - p + 2 and
+creates terms (k, j - 1), (k - 2, j - 1) and (k - 1 + l, j) for l < p - 1.
+- The derivative level never rises: new terms sit at level j or j - 1, so
+  every level stays <= m <= J.
+- For p >= 2, k <= i and k - 1 + l <= i - 1, so no reduction creates a
+  z-power above the one it removes. Every reduced term has i <= p*d <= I,
+  and max(k, i) = i <= I.
+- For p = 1, P' is constant, so only (i + 1, j - 1) and (i - 1, j - 1) are
+  created and i + j never rises. A reducible term (i, j) has j >= 1 and
+  i + j <= m + d, so k = i + 1 <= m + d <= I.
+Hence `_Reducer.reduce` never meets a cap. The normal form and multipliers
+of a column are the same at the cell's default caps, at the caps of any
+larger grid and at deepened caps, and deepening cannot change a status.
+
+That makes a scan a column-subset problem: `minimal_scan` reduces each grid
+column once, and cell (m, d) is feasible exactly when its columns are
+linearly dependent.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .operators import DiffOperator
 from .poly import Polynomial, format_rational
@@ -278,6 +298,13 @@ def _apply_sign_convention(op: DiffOperator):
     return (op.scaled(-1), Fraction(-1)) if flip else (op, Fraction(1))
 
 
+def _reduced_column(reducer: _Reducer, P: Polynomial, m: int, d: int) -> dict[Term, Fraction]:
+    """Normal form of the image of the basis operator x^d f^(m)."""
+    nf, _ = reducer.reduce(
+        operator_image(DiffOperator.single(m, Polynomial.monomial(d)), P))
+    return nf.as_dict()
+
+
 def _solve_at_bounds(P: Polynomial, bounds: SearchBounds) -> DerivationResult:
     M, D = bounds.max_order, bounds.max_coeff_degree
     reducer = _Reducer(P, bounds.z_power_cap, bounds.derivative_cap)
@@ -285,9 +312,7 @@ def _solve_at_bounds(P: Polynomial, bounds: SearchBounds) -> DerivationResult:
     reduced: list[dict[Term, Fraction]] = []
     row_support: set[Term] = set()
     for m, d in columns:
-        basis_op = DiffOperator.single(m, Polynomial.monomial(d))
-        nf, _ = reducer.reduce(operator_image(basis_op, P))
-        entries = nf.as_dict()
+        entries = _reduced_column(reducer, P, m, d)
         reduced.append(entries)
         row_support.update(entries)
 
@@ -421,41 +446,81 @@ class ScanResult:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("STEINFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# A 31-bit prime: residues and their pairwise products fit in numpy.int64.
+_PRIME = 2_147_483_647
+
+
+def _first_uncertain_column(columns: list[dict[Term, Fraction]]) -> int:
+    """Index of the first column that depends on the earlier ones mod _PRIME,
+    or that has a denominator divisible by _PRIME; len(columns) if none does.
+
+    Every shorter prefix has full column rank over Q: a minor that is
+    nonzero mod p is nonzero over Q.
+    """
+    p = _PRIME
+    rows = {t: r for r, t in enumerate({t for col in columns for t in col})}
+    a = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    limit = len(columns)
+    for c, col in enumerate(columns):
+        if any(v.denominator % p == 0 for v in col.values()):
+            limit = c
+            break
+        for t, v in col.items():
+            a[rows[t], c] = v.numerator * pow(v.denominator, -1, p) % p
+    r = 0
+    for c in range(limit):
+        nonzero = np.flatnonzero(a[r:, c])
+        if nonzero.size == 0:
+            return c
+        pivot = r + int(nonzero[0])
+        a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        a[r + 1:] = (a[r + 1:] - np.outer(a[r + 1:, c], a[r])) % p
+        r += 1
+    return limit
 
 
 def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanResult:
     """Feasibility status of every (order, degree) cell plus the first found
-    cell in order-then-degree lexicographic order, with its full result."""
+    cell in order-then-degree lexicographic order, with its full result.
+
+    Each grid column x^d f^(m) is reduced once, at the grid's caps (the caps
+    never bind, see the module docstring). Cell (m, d) is then the column
+    subset m' <= m, d' <= d, and it is feasible exactly when that subset is
+    linearly dependent. Cells are decided in lexicographic order:
+    - a cell above a found cell is found: the smaller cell's operator works;
+    - a cell whose columns have full rank mod _PRIME is infeasible;
+    - any other cell is solved exactly by `derive_operator`.
+    The residue rank only rules cells out, and only where that is certain.
+    """
     if P.degree < 1:
         raise DegeneratePushforward("P is constant")
-    cells = [(m, d) for m in range(max_order + 1)
-             for d in range(max_coeff_degree + 1)]
-    workers = _worker_count()
-
-    def solve(cell):
-        m, d = cell
-        return cell, derive_operator(P, m, d)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(solve, cells))
-    else:
-        outcomes = dict(solve(c) for c in cells)
-
-    grid = {cell: outcomes[cell].status for cell in cells}
+    M, D = max_order, max_coeff_degree
+    reducer = _Reducer(P, P.degree * (M + D), M)
+    reduced = {(m, d): _reduced_column(reducer, P, m, d)
+               for m in range(M + 1) for d in range(D + 1)}
+    grid: dict[tuple[int, int], str] = {}
+    found: list[tuple[int, int]] = []
     minimal = None
     result = None
-    for cell in cells:  # already lexicographic
-        if outcomes[cell].found:
-            minimal = cell
-            result = outcomes[cell]
-            break
+    for m in range(M + 1):
+        # order <= m columns by degree, so cell (m, d) is a prefix
+        columns = [(mm, d) for d in range(D + 1) for mm in range(m + 1)]
+        first = _first_uncertain_column([reduced[c] for c in columns])
+        full_rank_below = columns[first][1] if first < len(columns) else D + 1
+        for d in range(D + 1):
+            if any(fm <= m and fd <= d for fm, fd in found):
+                status = "found"
+            elif d < full_rank_below:
+                status = "infeasible-at-bounds"
+            else:
+                outcome = derive_operator(P, m, d)
+                status = outcome.status
+                if outcome.found and result is None:
+                    minimal, result = (m, d), outcome
+            if status == "found":
+                found.append((m, d))
+            grid[(m, d)] = status
     return ScanResult(poly=P, max_order=max_order,
                       max_coeff_degree=max_coeff_degree,
                       grid=grid, minimal=minimal, result=result)

@@ -87,6 +87,12 @@ class TestExitCodes:
                              "--degree", "1")
         assert code == 64
 
+    def test_too_many_quadrature_nodes_is_64(self):
+        code, out, err = run_cli("verify", "--catalog", "h3", "--methods",
+                                 "quadrature", "--nodes", "800")
+        assert code == 64 and out == ""
+        assert "quadrature nodes" in err
+
     def test_verify_pass_and_fail(self):
         code, out, _ = run_cli("verify", "--catalog", "normal",
                                "--samples", "20000")

@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steinforge import derivation
 from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationResult, InconsistentBounds,
-                                   SearchBounds, derive_operator, ibp_identity,
-                                   leading_coefficient_report, minimal_scan,
-                                   operator_image, verify_certificate)
+                                   ScanResult, SearchBounds, _Reducer,
+                                   default_bounds, derive_operator,
+                                   ibp_identity, leading_coefficient_report,
+                                   minimal_scan, operator_image,
+                                   verify_certificate)
 from steinforge.gaussian import hermite
 from steinforge.operators import DiffOperator, proportional_eq
 from steinforge.poly import Polynomial
@@ -21,6 +24,28 @@ from steinforge.terms import ExpectationVector
 X = Polynomial.x()
 H3 = hermite(3)
 H4 = hermite(4)
+SHIFTED_CUBIC = Polynomial([0, 0, 1, 1])  # x^3 + x^2
+SCAN_CASES = [(H3, 5, 4), (H4, 3, 3), (SHIFTED_CUBIC, 4, 3)]
+
+
+@st.composite
+def rational_polys(draw):
+    """Random P of degree 1-5 with small rational coefficients."""
+    degree = draw(st.integers(1, 5))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    lead = draw(coeff.filter(lambda c: c != 0))
+    return Polynomial([draw(coeff) for _ in range(degree)] + [lead])
+
+
+def brute_force_scan(P, M, D) -> ScanResult:
+    """Reference grid: one derive_operator call per cell."""
+    outcomes = {(m, d): derive_operator(P, m, d)
+                for m in range(M + 1) for d in range(D + 1)}
+    minimal = next((c for c in sorted(outcomes) if outcomes[c].found), None)
+    return ScanResult(poly=P, max_order=M, max_coeff_degree=D,
+                      grid={c: r.status for c, r in outcomes.items()},
+                      minimal=minimal,
+                      result=outcomes[minimal] if minimal else None)
 
 
 class TestIbpIdentity:
@@ -187,16 +212,41 @@ class TestScan:
         assert all(s in ("found", "infeasible-at-bounds")
                    for s in scan.grid.values())
 
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        serial = minimal_scan(H3, 4, 4)
-        monkeypatch.setenv("STEINFORGE_THREADS", "4")
-        threaded = minimal_scan(H3, 4, 4)
-        assert serial.grid == threaded.grid
-        assert serial.minimal == threaded.minimal
-
     def test_degenerate_propagates(self):
         with pytest.raises(DegeneratePushforward):
             minimal_scan(Polynomial([2]), 2, 2)
+
+    @pytest.mark.parametrize("P,M,D", SCAN_CASES)
+    def test_matches_per_cell_derivation(self, P, M, D):
+        assert minimal_scan(P, M, D).to_dict() == \
+            brute_force_scan(P, M, D).to_dict()
+
+    @settings(deadline=None, max_examples=15)
+    @given(rational_polys(), st.integers(0, 4), st.integers(0, 3))
+    def test_random_grids_match_per_cell_derivation(self, P, M, D):
+        assert minimal_scan(P, M, D).to_dict() == \
+            brute_force_scan(P, M, D).to_dict()
+
+    def test_small_prime_still_matches(self, monkeypatch):
+        # mod 3, columns of H3 and x^3+x^2 have denominators divisible by the
+        # prime and fall rank deficient; the exact path must decide them all
+        references = [brute_force_scan(*case).to_dict() for case in SCAN_CASES]
+        exact_calls = []
+        real = derivation.derive_operator
+
+        def counting(P, m, d):
+            exact_calls.append((m, d))
+            return real(P, m, d)
+
+        monkeypatch.setattr(derivation, "derive_operator", counting)
+        for case in SCAN_CASES:
+            minimal_scan(*case)
+        at_default_prime = len(exact_calls)
+        exact_calls.clear()
+        monkeypatch.setattr(derivation, "_PRIME", 3)
+        for case, reference in zip(SCAN_CASES, references):
+            assert minimal_scan(*case).to_dict() == reference
+        assert len(exact_calls) > at_default_prime
 
 
 class TestLeadingCoefficientReport:
@@ -257,7 +307,6 @@ def _dense_reference_feasible(P, M, D, I, J):
     (H4, 2, 2),
 ])
 def test_solver_matches_dense_reference(P, M, D):
-    from steinforge.derivation import default_bounds
     bounds = default_bounds(P, M, D)
     mine = derive_operator(P, M, D, bounds=bounds)
     dim = _dense_reference_feasible(P, M, D, bounds.z_power_cap,
@@ -298,6 +347,22 @@ def test_enlarged_caps_never_flip_found_to_infeasible():
         wide = derive_operator(
             H3, M, D, bounds=SearchBounds(M, D, 3 * (D + M) + 9, M + 4))
         assert base.found == wide.found
+
+
+@settings(deadline=None, max_examples=40)
+@given(rational_polys(), st.integers(0, 4), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3))
+def test_reduction_never_reaches_a_cap(P, m, d, grow_m, grow_d):
+    # the module docstring proves this; the normal form and multipliers of a
+    # column are the same at its cell's caps, a grid's caps and 3x those caps
+    M, D = m + grow_m, d + grow_d
+    image = operator_image(DiffOperator.single(m, Polynomial.monomial(d)), P)
+    cell = default_bounds(P, m, d)
+    caps = [(cell.z_power_cap, cell.derivative_cap),
+            (P.degree * (M + D), M),
+            (3 * P.degree * (M + D), M + 6)]
+    tight, grid, wide = (_Reducer(P, I, J).reduce(image) for I, J in caps)
+    assert tight == grid == wide
 
 
 @settings(deadline=None, max_examples=20)

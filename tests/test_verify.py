@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from steinforge.catalog import catalog
-from steinforge.gaussian import gauss_hermite_rule, hermite
+from steinforge.gaussian import (QuadratureValidationError, gauss_hermite_rule,
+                                 hermite)
 from steinforge.operators import DiffOperator
 from steinforge.poly import Polynomial
 from steinforge.testfunctions import (cosine, default_suite, gaussian_bump,
                                       monomial, sine)
-from steinforge.verify import (mutation_controls, target_expectation,
-                               verify_monte_carlo, verify_quadrature,
-                               verify_symbolic)
+from steinforge.verify import (MAX_QUADRATURE_NODES, mutation_controls,
+                               target_expectation, verify_monte_carlo,
+                               verify_quadrature, verify_symbolic)
 
 H3 = hermite(3)
 H4 = hermite(4)
@@ -124,6 +125,17 @@ class TestQuadrature:
     def test_minimum_node_count(self):
         with pytest.raises(ValueError):
             verify_quadrature(catalog("h3").operator, H3, [sine(1.0)], nodes=10)
+
+    def test_maximum_node_count(self):
+        with pytest.raises(ValueError):
+            verify_quadrature(catalog("h3").operator, H3, [sine(1.0)],
+                              nodes=MAX_QUADRATURE_NODES + 1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_node_limit_is_the_largest_buildable_rule(self):
+        assert gauss_hermite_rule(MAX_QUADRATURE_NODES).n == MAX_QUADRATURE_NODES
+        with pytest.raises(QuadratureValidationError):
+            gauss_hermite_rule(MAX_QUADRATURE_NODES + 1)
 
 
 class TestMonteCarlo:
