@@ -5,9 +5,8 @@ from .poly import Polynomial, Rational, format_rational, parse_rational, rationa
 from .gaussian import (GaussianSampler, QuadratureRule, gauss_hermite_rule,
                        gaussian_moment, hermite, pushforward_moment)
 from .terms import ExpectationVector, Term
-from .operators import (DiffOperator, apply_to_polynomial, expectation_applied,
-                        moment_recursion, normalize_operator, proportional_eq,
-                        translate_operator)
+from .operators import (DiffOperator, expectation_applied, moment_recursion,
+                        normalize_operator, proportional_eq, translate_operator)
 from .derivation import (Certificate, DerivationResult, SearchBounds,
                          derive_operator, ibp_identity, leading_coefficient_report,
                          minimal_scan, operator_image, verify_certificate)

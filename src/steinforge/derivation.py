@@ -28,20 +28,23 @@ Hence `_Reducer.reduce` never meets a cap. The normal form and multipliers
 of a column are the same at the cell's default caps, at the caps of any
 larger grid and at deepened caps, and deepening cannot change a status.
 
-That makes a scan a column-subset problem: `minimal_scan` reduces each grid
-column once, and cell (m, d) is feasible exactly when its columns are
-linearly dependent.
+So one exact solver, `_solve_cell`, decides a cell from its reduced columns
+whatever caps reduced them. `derive_operator` reduces the cell's columns at
+its default caps and solves once. `minimal_scan` reduces each grid column
+once; cell (m, d) is then a column subset, feasible exactly when those
+columns are linearly dependent, and only the cells that a rank test mod a
+prime cannot rule out reach `_solve_cell`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .operators import DiffOperator
+from .gaussian import _poly_power
+from .operators import DiffOperator, normalize_operator
 from .poly import Polynomial, format_rational
 from .terms import ExpectationVector, Term, term_order
 
@@ -52,10 +55,6 @@ class DerivationError(ValueError):
 
 class DegeneratePushforward(DerivationError):
     """P is constant: W carries no randomness to integrate by parts."""
-
-
-class InconsistentBounds(DerivationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,6 @@ class SearchBounds:
     max_coeff_degree: int
     z_power_cap: int
     derivative_cap: int
-
-    def validate(self, P: Polynomial) -> None:
-        if self.derivative_cap < self.max_order:
-            raise InconsistentBounds("derivative cap below operator order")
-        if self.z_power_cap < P.degree * self.max_coeff_degree:
-            raise InconsistentBounds("z-power cap below coefficient reach")
 
     def to_dict(self) -> dict:
         return {"M": self.max_order, "D": self.max_coeff_degree,
@@ -163,8 +156,7 @@ def operator_image(op: DiffOperator, P: Polynomial) -> ExpectationVector:
         for d, q in enumerate(pm.coeffs):
             if q == 0:
                 continue
-            power = Polynomial.monomial(d).compose(P)
-            for i, e in enumerate(power.coeffs):
+            for i, e in enumerate(_poly_power(P, d).coeffs):
                 if e != 0:
                     items.append(((i, m), q * e))
     return ExpectationVector(items)
@@ -272,102 +264,65 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def _normalize_q(q: list[Fraction]) -> tuple[list[Fraction], Fraction]:
-    """Scale to coprime integers with the sign convention; returns (q, factor)."""
-    denom_lcm = 1
-    num_gcd = 0
-    for v in q:
-        if v != 0:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-            num_gcd = math.gcd(num_gcd, abs(v.numerator))
-    if num_gcd == 0:
-        raise DerivationError("zero operator cannot be normalized")
-    factor = Fraction(denom_lcm, num_gcd)
-    return [v * factor for v in q], factor
-
-
-def _apply_sign_convention(op: DiffOperator):
-    """Sign so the order-0 coefficient has a negative leading coefficient,
-    falling back to a positive leading coefficient of the first nonzero one."""
-    p0 = op.coefficients[0]
-    if not p0.is_zero:
-        flip = p0.leading_coefficient > 0
-    else:
-        first = next(p for p in op.coefficients if not p.is_zero)
-        flip = first.leading_coefficient < 0
-    return (op.scaled(-1), Fraction(-1)) if flip else (op, Fraction(1))
-
-
-def _reduced_column(reducer: _Reducer, P: Polynomial, m: int, d: int) -> dict[Term, Fraction]:
+def _reduced_column(reducer: _Reducer, m: int, d: int) -> dict[Term, Fraction]:
     """Normal form of the image of the basis operator x^d f^(m)."""
     nf, _ = reducer.reduce(
-        operator_image(DiffOperator.single(m, Polynomial.monomial(d)), P))
+        operator_image(DiffOperator.single(m, Polynomial.monomial(d)), reducer.P))
     return nf.as_dict()
 
 
-def _solve_at_bounds(P: Polynomial, bounds: SearchBounds) -> DerivationResult:
-    M, D = bounds.max_order, bounds.max_coeff_degree
-    reducer = _Reducer(P, bounds.z_power_cap, bounds.derivative_cap)
-    columns = [(m, d) for m in range(M + 1) for d in range(D + 1)]
-    reduced: list[dict[Term, Fraction]] = []
-    row_support: set[Term] = set()
-    for m, d in columns:
-        entries = _reduced_column(reducer, P, m, d)
-        reduced.append(entries)
-        row_support.update(entries)
+def _solve_cell(reducer: _Reducer, reduced: dict[tuple[int, int], dict[Term, Fraction]],
+                bounds: SearchBounds) -> Optional[DerivationResult]:
+    """Exact solve of cell (M, D) = (bounds.max_order, bounds.max_coeff_degree).
 
-    row_terms = sorted(row_support, key=term_order)
-    matrix = [[reduced[c].get(t, Fraction(0)) for c in range(len(columns))]
-              for t in row_terms]
+    `reduced` maps (m, d) to the normal form of x^d f^(m) for at least every
+    m <= M, d <= D; `reducer` produced it, at any caps (they never bind). One
+    Fraction nullspace decides the cell. Returns the found result, with the
+    certificate replayed through `reducer`, or None when the cell's columns
+    are independent.
+    """
+    M, D = bounds.max_order, bounds.max_coeff_degree
+    columns = [reduced[(m, d)] for m in range(M + 1) for d in range(D + 1)]
+    row_terms = sorted({t for col in columns for t in col}, key=term_order)
+    matrix = [[col.get(t, Fraction(0)) for col in columns] for t in row_terms]
     basis = _nullspace(matrix, len(columns))
     if not basis:
-        return DerivationResult(status="infeasible-at-bounds", poly=P,
-                                bounds_used=bounds)
+        return None
 
     # canonical reduced basis over the operator coordinates, then the vector
     # with lexicographically smallest support
-    basis, _ = _rref([list(v) for v in basis])
-    basis = [v for v in basis if any(c != 0 for c in v)]
+    basis, _ = _rref(basis)
 
     def support_key(vec):
         return tuple(i for i, v in enumerate(vec) if v != 0)
 
-    chosen = min(basis, key=support_key)
-    chosen, _ = _normalize_q(chosen)
-
     def build(vec) -> DiffOperator:
-        polys = []
-        for m in range(M + 1):
-            polys.append(Polynomial(vec[m * (D + 1):(m + 1) * (D + 1)]))
-        return DiffOperator(tuple(polys))
+        return normalize_operator(DiffOperator(tuple(
+            Polynomial(vec[m * (D + 1):(m + 1) * (D + 1)]) for m in range(M + 1))))
 
-    op = build(chosen)
-    op, _ = _apply_sign_convention(op)
-    nf, multipliers = reducer.reduce(operator_image(op, P))
+    op = build(min(basis, key=support_key))
+    nf, multipliers = reducer.reduce(operator_image(op, reducer.P))
     if not nf.is_zero:
         raise AssertionError("reduction of an admissible operator must vanish")
-    basis_ops = []
-    for vec in basis:
-        vec_scaled, _ = _normalize_q(list(vec))
-        bop, _ = _apply_sign_convention(build(vec_scaled))
-        basis_ops.append(bop)
     return DerivationResult(
-        status="found", poly=P, bounds_used=bounds, operator=op,
+        status="found", poly=reducer.P, bounds_used=bounds, operator=op,
         certificate=Certificate(multipliers), nullspace_dim=len(basis),
-        basis=tuple(basis_ops))
+        basis=tuple(build(vec) for vec in basis))
 
 
 def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
-                    bounds: Optional[SearchBounds] = None,
                     deepen_rounds: int = 2) -> DerivationResult:
     """Search for a nonzero operator of order <= max_order with coefficient
     degrees <= max_coeff_degree whose expectation vanishes for W = P(Z).
 
-    With explicit `bounds` exactly one solve runs at those caps. Otherwise
-    the default caps are used and, on infeasibility, the caps are deepened
-    (first the z-power cap, then the derivative cap, repeated per round)
-    before infeasible-at-bounds is reported. Infeasibility is relative to
-    the searched family, never a nonexistence proof.
+    One exact solve at the default caps decides the cell: the caps never
+    bind (module docstring), so a cell infeasible there is infeasible at any
+    larger caps. An infeasible result echoes the caps that `deepen_rounds`
+    rounds of cap deepening reach, the z-power cap grown by p*M on rounds
+    0, 2, ... and the derivative cap by 2 on rounds 1, 3, ..., so its payload
+    names the caps the search is known to cover at no extra solve.
+    Infeasibility is relative to the searched family, never a nonexistence
+    proof.
     """
     if max_order < 0 or max_coeff_degree < 0:
         raise DerivationError("order and degree bounds must be nonnegative")
@@ -380,27 +335,20 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
             operator=op, certificate=Certificate({}), nullspace_dim=1,
             basis=(op,))
 
-    if bounds is not None:
-        bounds.validate(P)
-        return _solve_at_bounds(P, bounds)
-
-    p = P.degree
-    current = default_bounds(P, max_order, max_coeff_degree)
-    current.validate(P)
-    result = _solve_at_bounds(P, current)
-    rounds = 0
-    while not result.found and rounds < deepen_rounds:
-        if rounds % 2 == 0:
-            current = SearchBounds(max_order, max_coeff_degree,
-                                   current.z_power_cap + p * max_order,
-                                   current.derivative_cap)
-        else:
-            current = SearchBounds(max_order, max_coeff_degree,
-                                   current.z_power_cap,
-                                   current.derivative_cap + 2)
-        result = _solve_at_bounds(P, current)
-        rounds += 1
-    return result
+    bounds = default_bounds(P, max_order, max_coeff_degree)
+    reducer = _Reducer(P, bounds.z_power_cap, bounds.derivative_cap)
+    reduced = {(m, d): _reduced_column(reducer, m, d)
+               for m in range(max_order + 1) for d in range(max_coeff_degree + 1)}
+    result = _solve_cell(reducer, reduced, bounds)
+    if result is not None:
+        return result
+    rounds = max(deepen_rounds, 0)
+    deepened = SearchBounds(
+        max_order, max_coeff_degree,
+        bounds.z_power_cap + P.degree * max_order * ((rounds + 1) // 2),
+        bounds.derivative_cap + 2 * (rounds // 2))
+    return DerivationResult(status="infeasible-at-bounds", poly=P,
+                            bounds_used=deepened)
 
 
 def verify_certificate(result: DerivationResult, P: Polynomial) -> bool:
@@ -490,14 +438,15 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     linearly dependent. Cells are decided in lexicographic order:
     - a cell above a found cell is found: the smaller cell's operator works;
     - a cell whose columns have full rank mod _PRIME is infeasible;
-    - any other cell is solved exactly by `derive_operator`.
+    - any other cell is solved exactly by `_solve_cell` on the grid's
+      columns, as `derive_operator` solves it on the cell's own.
     The residue rank only rules cells out, and only where that is certain.
     """
     if P.degree < 1:
         raise DegeneratePushforward("P is constant")
     M, D = max_order, max_coeff_degree
     reducer = _Reducer(P, P.degree * (M + D), M)
-    reduced = {(m, d): _reduced_column(reducer, P, m, d)
+    reduced = {(m, d): _reduced_column(reducer, m, d)
                for m in range(M + 1) for d in range(D + 1)}
     grid: dict[tuple[int, int], str] = {}
     found: list[tuple[int, int]] = []
@@ -514,9 +463,9 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
             elif d < full_rank_below:
                 status = "infeasible-at-bounds"
             else:
-                outcome = derive_operator(P, m, d)
-                status = outcome.status
-                if outcome.found and result is None:
+                outcome = _solve_cell(reducer, reduced, default_bounds(P, m, d))
+                status = "infeasible-at-bounds" if outcome is None else "found"
+                if outcome is not None and result is None:
                     minimal, result = (m, d), outcome
             if status == "found":
                 found.append((m, d))

@@ -139,6 +139,10 @@ def _orthonormal_hermite_values(x: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return cur, total
 
 
+# Built rules by n. A QuadratureRule is frozen tuples, so sharing one is safe.
+_RULES: dict[int, QuadratureRule] = {}
+
+
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Hermite rule for the weight exp(-z^2/2)/sqrt(2*pi).
 
@@ -146,8 +150,11 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     the Hermite recurrence (off-diagonal sqrt(k)) and are polished by Newton
     steps on the orthonormal recurrence; weights are the Christoffel numbers
     1 / sum_k p_k(x_i)^2. The rule is checked against exact moments up to
-    degree 2n-1 before being returned.
+    degree 2n-1 before being returned. Built rules are cached by n; a build
+    that fails raises again on the next call.
     """
+    if n in _RULES:
+        return _RULES[n]
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -170,8 +177,9 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
         weights = 0.5 * (weights + weights[::-1])
         weights = weights / weights.sum()
     _validate_rule(nodes, weights)
-    return QuadratureRule(tuple(float(v) for v in nodes),
-                          tuple(float(v) for v in weights))
+    rule = _RULES[n] = QuadratureRule(tuple(float(v) for v in nodes),
+                                      tuple(float(v) for v in weights))
+    return rule
 
 
 _CHUNK = 1 << 16

@@ -144,10 +144,6 @@ def _latex_coefficient(p: Polynomial) -> tuple[str, str]:
     return f"({inner})", "+"
 
 
-def apply_to_polynomial(op: DiffOperator, f: Polynomial) -> Polynomial:
-    return op.apply(f)
-
-
 def expectation_applied(op: DiffOperator, P: Polynomial, f: Polynomial) -> Fraction:
     """Exact E[(A f)(W)] for W = P(Z), via pushforward moments."""
     g = op.apply(f)

@@ -14,8 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .gaussian import QuadratureRule, chunk_indices, chunk_normals, gauss_hermite_rule
-from .noncentral import (NoncentralParams, density_integral, noncentral_pdf,
-                         sample_noncentral)
+from .noncentral import NoncentralParams, density_integral, sample_noncentral
 from .operators import DiffOperator, expectation_applied
 from .poly import Polynomial
 from .testfunctions import TestFunction, default_suite, monomial
@@ -87,11 +86,7 @@ def target_expectation(target: Target, h: TestFunction,
             rule = gauss_hermite_rule(201)
         z, wts = rule.arrays()
         return float(np.dot(wts, h(target.eval_float(z))))
-    from scipy.integrate import quad
-    cutoff = target.density_cutoff()
-    value, _ = quad(lambda x: h(x) * noncentral_pdf(x, target), 0.0, cutoff,
-                    epsabs=1e-13, epsrel=1e-12, limit=400)
-    return value
+    return density_integral(target, h)
 
 
 def verify_quadrature(op: DiffOperator, P: Polynomial,

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from steinforge import derivation
 from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
-                                   DerivationResult, InconsistentBounds,
-                                   ScanResult, SearchBounds, _Reducer,
+                                   DerivationResult, ScanResult,
+                                   SearchBounds, _Reducer,
                                    default_bounds, derive_operator,
                                    ibp_identity, leading_coefficient_report,
                                    minimal_scan, operator_image,
@@ -145,12 +145,6 @@ class TestDerive:
         assert r.operator == DiffOperator((Polynomial([-7, 1]),))
         assert verify_certificate(r, Polynomial([7]))
 
-    def test_inconsistent_bounds(self):
-        with pytest.raises(InconsistentBounds):
-            derive_operator(H3, 3, 2, bounds=SearchBounds(3, 2, 100, 2))
-        with pytest.raises(InconsistentBounds):
-            derive_operator(H3, 3, 2, bounds=SearchBounds(3, 2, 4, 3))
-
 
 class TestCertificate:
     def test_hand_built_single_identity(self):
@@ -232,13 +226,17 @@ class TestScan:
         # prime and fall rank deficient; the exact path must decide them all
         references = [brute_force_scan(*case).to_dict() for case in SCAN_CASES]
         exact_calls = []
-        real = derivation.derive_operator
+        real = derivation._solve_cell
 
-        def counting(P, m, d):
-            exact_calls.append((m, d))
-            return real(P, m, d)
+        def counting(reducer, reduced, bounds):
+            exact_calls.append((bounds.max_order, bounds.max_coeff_degree))
+            return real(reducer, reduced, bounds)
 
-        monkeypatch.setattr(derivation, "derive_operator", counting)
+        def no_derive(*args, **kwargs):
+            raise AssertionError("minimal_scan solves cells on its own columns")
+
+        monkeypatch.setattr(derivation, "_solve_cell", counting)
+        monkeypatch.setattr(derivation, "derive_operator", no_derive)
         for case in SCAN_CASES:
             minimal_scan(*case)
         at_default_prime = len(exact_calls)
@@ -305,15 +303,49 @@ def _dense_reference_feasible(P, M, D, I, J):
     (H3, 5, 2),
     (H4, 2, 3),
     (H4, 2, 2),
+    (H3, 3, 3),
 ])
 def test_solver_matches_dense_reference(P, M, D):
-    bounds = default_bounds(P, M, D)
-    mine = derive_operator(P, M, D, bounds=bounds)
-    dim = _dense_reference_feasible(P, M, D, bounds.z_power_cap,
-                                    bounds.derivative_cap)
-    assert (dim > 0) == mine.found
-    if mine.found:
-        assert dim == mine.nullspace_dim
+    # the reference runs at the default caps and at the caps the result
+    # reports; for an infeasible cell those are the enlarged caps of its
+    # payload (I + p*M, J + 2), which the single solve must truly cover
+    mine = derive_operator(P, M, D)
+    for bounds in {default_bounds(P, M, D), mine.bounds_used}:
+        dim = _dense_reference_feasible(P, M, D, bounds.z_power_cap,
+                                        bounds.derivative_cap)
+        assert (dim > 0) == mine.found
+        if mine.found:
+            assert dim == mine.nullspace_dim
+
+
+def test_infeasible_payload_echoes_deepened_caps_from_one_solve(monkeypatch):
+    # replay the recurrence of the removed deepening loop: the z-power cap
+    # grows by p*M on even rounds, the derivative cap by 2 on odd rounds
+    solves = []
+    real = derivation._solve_cell
+
+    def counting(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(derivation, "_solve_cell", counting)
+    cells = [(H3, 3, 3), (H3, 5, 1), (H4, 2, 2), (Polynomial([0, 2, 1]), 1, 0),
+             (X, 0, 3)]
+    for P, M, D in cells:
+        for rounds in range(5):
+            solves.clear()
+            r = derive_operator(P, M, D, deepen_rounds=rounds)
+            assert r.status == "infeasible-at-bounds" and len(solves) == 1
+            caps = default_bounds(P, M, D)
+            for k in range(rounds):
+                I, J = caps.z_power_cap, caps.derivative_cap
+                caps = SearchBounds(M, D, I + P.degree * M, J) if k % 2 == 0 \
+                    else SearchBounds(M, D, I, J + 2)
+            assert r.bounds_used == caps
+    assert derive_operator(H3, 3, 3).bounds_used.to_dict() == \
+        {"M": 3, "D": 3, "I": 27, "J": 5}
+    assert derive_operator(H3, 3, 3, deepen_rounds=4).bounds_used.to_dict() == \
+        {"M": 3, "D": 3, "I": 36, "J": 7}
 
 
 def test_multidimensional_cells_report_full_basis():
@@ -339,14 +371,6 @@ def test_result_serialization_deterministic():
     assert set(d) >= {"status", "poly", "bounds", "operator", "certificate",
                       "nullspace_dim"}
     assert d["bounds"] == {"M": 5, "D": 2, "I": 21, "J": 5}
-
-
-def test_enlarged_caps_never_flip_found_to_infeasible():
-    for M, D in [(5, 2), (3, 4), (4, 3)]:
-        base = derive_operator(H3, M, D)
-        wide = derive_operator(
-            H3, M, D, bounds=SearchBounds(M, D, 3 * (D + M) + 9, M + 4))
-        assert base.found == wide.found
 
 
 @settings(deadline=None, max_examples=40)

@@ -82,6 +82,10 @@ def test_rule_validates_all_required_sizes(n):
     assert rule.weights == tuple(reversed(rule.weights))
 
 
+def test_rule_is_built_once_per_n():
+    assert gauss_hermite_rule(201) is gauss_hermite_rule(201)
+
+
 def test_rule_json_shape():
     d = gauss_hermite_rule(3).to_dict()
     assert set(d) == {"n", "nodes", "weights"} and d["n"] == 3
