@@ -62,6 +62,7 @@ class CatalogEntry:
     extrema: Optional[ExtremaData]
     conjectured: bool = False
     display_latex: Optional[str] = None
+    threshold_order: Optional[int] = None
 
     def latex(self) -> str:
         if self.display_latex:
@@ -154,6 +155,10 @@ _LEADING = {
     6: Polynomial([-36000, -1200, 95, 1]),
 }
 
+# Suspected minimal operator order of the conjectured rows; `conjecture`
+# reports the cells found below it.
+_THRESHOLD_ORDER = {5: 9, 6: 6}
+
 _EXTREMA = {
     1: ExtremaData(maxima=(), minima=()),
     2: ExtremaData(maxima=(), minima=(RadicalValue.exact(-1),)),
@@ -244,7 +249,7 @@ def catalog(key: str, **params) -> CatalogEntry:
             key=f"table1({n})", label=f"leading-coefficient table row {n}",
             operator=op, pushforward=hermite(n) if op is not None else None,
             leading_coefficient=_LEADING[n], extrema=_EXTREMA[n],
-            conjectured=n >= 5)
+            conjectured=n >= 5, threshold_order=_THRESHOLD_ORDER.get(n))
     raise KeyError(f"unknown catalog key: {key!r}")
 
 

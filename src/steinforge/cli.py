@@ -246,7 +246,8 @@ def _cmd_catalog(args) -> int:
 def _cmd_conjecture(args) -> int:
     n = args.hermite
     P = hermite(n)
-    conjectured = catalog(f"table1({n})").leading_coefficient
+    row = catalog(f"table1({n})")
+    conjectured = row.leading_coefficient
     print(f"conjecture scan for Hermite order {n}: "
           f"orders 0..{args.max_order}, degrees 0..{args.max_degree}",
           file=sys.stderr)
@@ -264,7 +265,7 @@ def _cmd_conjecture(args) -> int:
     else:
         payload["leading_comparison"] = None
         payload["conjecture_divides_leading"] = None
-    threshold = 9 if n == 5 else 6
+    threshold = row.threshold_order
     found_below = [
         [m, d] for (m, d), status in scan.grid.items()
         if status == "found" and m < threshold]

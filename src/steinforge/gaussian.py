@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .poly import Polynomial
 
@@ -41,18 +40,30 @@ def gaussian_moment(n: int) -> Fraction:
     return Fraction(math.prod(range(1, n, 2)))
 
 
-@lru_cache(maxsize=None)
+# P^0, P^1, ... by P, each power one product from the last.
+_POWERS: dict[Polynomial, list[Polynomial]] = {}
+# E[P(Z)^d] by (P, d). A module dict, not lru_cache, so the public name
+# stays a plain function.
+_MOMENTS: dict[tuple[Polynomial, int], Fraction] = {}
+
+
 def _poly_power(P: Polynomial, d: int) -> Polynomial:
-    return Polynomial.monomial(d).compose(P)
+    powers = _POWERS.setdefault(P, [Polynomial.constant(1)])
+    while len(powers) <= d:
+        powers.append(powers[-1] * P)
+    return powers[d]
 
 
 def pushforward_moment(P: Polynomial, d: int) -> Fraction:
     """Exact E[P(Z)^d]: expand the power, take Gaussian moments termwise."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    expanded = _poly_power(P, d)
-    return sum((c * gaussian_moment(i) for i, c in enumerate(expanded.coeffs)),
-               Fraction(0))
+    key = (P, d)
+    if key not in _MOMENTS:
+        expanded = _poly_power(P, d)
+        _MOMENTS[key] = sum((c * gaussian_moment(i)
+                             for i, c in enumerate(expanded.coeffs)), Fraction(0))
+    return _MOMENTS[key]
 
 
 class QuadratureValidationError(RuntimeError):
@@ -161,6 +172,8 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
         nodes = np.array([0.0])
         weights = np.array([1.0])
     else:
+        # lazy: commands that never integrate numerically start faster
+        from scipy.linalg import eigh_tridiagonal
         diag = np.zeros(n)
         off = np.sqrt(np.arange(1.0, n))
         nodes, _ = eigh_tridiagonal(diag, off, select="a")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gaussian import _CHUNK, _normal_chunk
 
@@ -114,6 +113,8 @@ def noncentral_pdf(x: float, params: NoncentralParams) -> float:
 
 def density_integral(params: NoncentralParams, func) -> float:
     """Integral of func(x) * pdf(x) over (0, cutoff) by adaptive quadrature."""
+    # lazy: commands that never integrate numerically start faster
+    from scipy.integrate import quad
     cutoff = params.density_cutoff()
     value, _ = quad(lambda x: func(x) * noncentral_pdf(x, params), 0.0, cutoff,
                     epsabs=1e-13, epsrel=1e-12, limit=400)

@@ -203,7 +203,7 @@ def verify_noncentral_operator(params: NoncentralParams,
     for f in suite:
         f.derivative(0.0, op.order)
         residual = density_integral(
-            params, lambda x, f=f: float(operator_values(op, f, np.asarray(x))))
+            params, lambda x, f=f: float(operator_values(op, f, x)))
         checks.append(CheckResult(
             name=f.name, residual=residual, tolerance=tol,
             passed=abs(residual) <= tol,

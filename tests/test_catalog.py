@@ -61,6 +61,9 @@ def test_table1_rows():
     # the monic cubic with roots at the sixth row's extremal values
     assert catalog("table1(6)").leading_coefficient == \
         Polynomial([-36000, -1200, 95, 1])
+    # the suspected minimal orders that `conjecture` reports finds below
+    assert [catalog("table1", n=n).threshold_order for n in range(1, 7)] == \
+        [None, None, None, None, 9, 6]
     with pytest.raises(ValueError):
         catalog("table1", n=9)
 

@@ -2,15 +2,19 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from steinforge.cli import PolynomialSyntaxError, main, parse_polynomial
 from steinforge.gaussian import hermite
 from steinforge.poly import Polynomial
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -160,6 +164,7 @@ class TestSubcommands:
         assert payload["scan"]["minimal"] == [3, 6]
         assert payload["leading_comparison"]["proportional"] is False
         assert payload["conjecture_divides_leading"] is True
+        assert payload["threshold_order"] == 6
         assert payload["found_below_threshold"] == [[3, 6]]
 
     def test_conjecture_reports_when_nothing_found(self):
@@ -169,6 +174,7 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["scan"]["minimal"] is None
         assert payload["leading_comparison"] is None
+        assert payload["threshold_order"] == 9
         assert payload["found_below_threshold"] == []
 
 
@@ -195,6 +201,35 @@ class TestReproducibility:
                                  "--max-order", "2", "--max-degree", "1")
         json.loads(out)  # stdout is pure JSON
         assert "scanning" in err
+
+
+def loaded_scipy_modules(code: str) -> set[str]:
+    """scipy modules in sys.modules after a fresh interpreter runs `code`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (code + "\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        assert loaded_scipy_modules("import steinforge.cli") == set()
+
+    def test_numerical_routes_load_scipy(self):
+        # negative control: the probe sees scipy once a route needs it
+        rule = loaded_scipy_modules(
+            "import steinforge.cli\n"
+            "from steinforge.gaussian import gauss_hermite_rule\n"
+            "gauss_hermite_rule(201)")
+        assert "scipy.linalg" in rule and "scipy.integrate" not in rule
+        density = loaded_scipy_modules(
+            "import steinforge.cli\n"
+            "from steinforge.noncentral import NoncentralParams, density_integral\n"
+            "density_integral(NoncentralParams(k=2, lam=1), lambda x: 1.0)")
+        assert "scipy.integrate" in density
 
 
 def test_main_callable_in_process(capsys):

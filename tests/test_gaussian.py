@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinforge.gaussian import (GaussianSampler, QuadratureValidationError,
-                                 gauss_hermite_rule, gaussian_moment, hermite,
-                                 pushforward_moment)
+                                 _poly_power, gauss_hermite_rule, gaussian_moment,
+                                 hermite, pushforward_moment)
 from steinforge.poly import Polynomial
+from test_derivation import rational_polys
 
 
 def test_hermite_small():
@@ -47,6 +48,23 @@ def test_pushforward_moment_examples():
 def test_pushforward_orthogonality_factorial():
     for n in range(1, 9):
         assert pushforward_moment(hermite(n), 2) == math.factorial(n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(rational_polys(), st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_powers_and_moments_match_composition(P, ds):
+    # cached powers, asked for in any order, equal x^d composed with P, and
+    # the cached moment equals that expansion summed against E[Z^i]
+    for d in ds:
+        reference = Polynomial.monomial(d).compose(P)
+        assert _poly_power(P, d) == reference
+        assert pushforward_moment(P, d) == sum(
+            (c * gaussian_moment(i) for i, c in enumerate(reference.coeffs)),
+            Fraction(0))
+
+
+def test_power_beyond_recursion_limit():
+    assert _poly_power(Polynomial.constant(2), 5000) == Polynomial.constant(2 ** 5000)
 
 
 def test_hermite_orthogonality():

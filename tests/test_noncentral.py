@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy import special
 
+from steinforge.catalog import noncentral_chi2_operator
 from steinforge.noncentral import (NoncentralParams, bessel_i, density_integral,
                                    noncentral_pdf, sample_noncentral)
-from steinforge.testfunctions import gaussian_bump, sine
-from steinforge.verify import verify_monte_carlo, verify_noncentral_operator
+from steinforge.testfunctions import default_suite, gaussian_bump, sine
+from steinforge.verify import (operator_values, verify_monte_carlo,
+                               verify_noncentral_operator)
 
 PAIRS = [(1.0, 1.0), (2.0, 0.5), (4.0, 3.0)]
 
@@ -120,6 +122,18 @@ class TestOperatorChecks:
         rep = verify_noncentral_operator(NoncentralParams(k=k, lam=lam))
         assert rep.passed
         assert all(c.params["cutoff"] > 0 for c in rep.checks)
+
+    @pytest.mark.parametrize("k,lam", PAIRS + [(2.5, 1.0), (3.0, 0.0)])
+    def test_scalar_integrand_matches_array_integrand(self, k, lam):
+        # the integrand takes quad's float x as is; residuals must equal,
+        # bit for bit, those of the integrand wrapping x in a 0-d array
+        params = NoncentralParams(k=k, lam=lam)
+        op = noncentral_chi2_operator(k, lam)
+        report = verify_noncentral_operator(params)
+        reference = [density_integral(
+            params, lambda x, f=f: float(operator_values(op, f, np.asarray(x))))
+            for f in default_suite()]
+        assert [c.residual for c in report.checks] == reference
 
 
 class TestSampling:
