@@ -33,12 +33,26 @@ whatever caps reduced them. `derive_operator` reduces the cell's columns at
 its default caps and solves once. `minimal_scan` reduces each grid column
 once; cell (m, d) is then a column subset, feasible exactly when those
 columns are linearly dependent, and only the cells that a rank test mod a
-prime cannot rule out reach `_solve_cell`.
+prime cannot rule out reach the exact kernel.
+
+The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
+row is cleared of denominators, and one elimination modulo the prime
+p = 2^31 - 1 picks r pivot rows and columns. Rank mod p <= rank over Q, so
+a cell with no free column mod p is infeasible for certain. Otherwise
+fraction-free Bareiss elimination on the r x r pivot minor gives one
+integer vector per free column, and an exact check A v = 0 on every row
+gates them: k independent kernel vectors, when the nullity is at most
+k = ncols - r, span the kernel. A vector that fails the check shows rank
+over Q above r, and the Fraction `_nullspace` decides the cell instead.
+The reduced row echelon basis of the kernel is unique, so the operator and
+basis reported do not depend on which vectors spanned it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -264,6 +278,145 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
+# A 31-bit prime: residues and their pairwise products fit in numpy.int64.
+_PRIME = 2_147_483_647
+
+
+def _integer_rows(columns: list[dict[Term, Fraction]]) -> list[list[int]]:
+    """The matrix of `columns`, one row per term in term order, each row
+    multiplied by the lcm of its denominators. Scaling a row keeps every
+    dependency among the columns, so this integer matrix has the same kernel
+    as the rational one, for any subset of its columns."""
+    entries: dict[Term, list[tuple[int, Fraction]]] = {}
+    for c, col in enumerate(columns):
+        for t, v in col.items():
+            entries.setdefault(t, []).append((c, v))
+    rows = []
+    for t in sorted(entries, key=term_order):
+        scale = math.lcm(*[v.denominator for _, v in entries[t]])
+        row = [0] * len(columns)
+        for c, v in entries[t]:
+            row[c] = v.numerator * (scale // v.denominator)
+        rows.append(row)
+    return rows
+
+
+def _residues(rows: list[list[int]], ncols: int) -> np.ndarray:
+    p = _PRIME
+    return np.array([[v % p for v in row] for row in rows],
+                    dtype=np.int64).reshape(len(rows), ncols)
+
+
+def _residue_pivots(a: np.ndarray):
+    """Gaussian elimination of the residue matrix `a` mod _PRIME, in place,
+    one column at a time. Yields (column, row) per column: the index in `a`
+    of the row that pivots the column, or None when the column depends on
+    the earlier ones mod _PRIME.
+
+    The pivot rows and columns seen so far index a minor whose leading
+    principal minors, in pivot order, are all nonzero mod p, hence nonzero
+    over Q.
+    """
+    p = _PRIME
+    order = np.arange(a.shape[0])
+    r = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[r:, c])
+        if nonzero.size == 0:
+            yield c, None
+            continue
+        pivot = r + int(nonzero[0])
+        a[[r, pivot]] = a[[pivot, r]]
+        order[[r, pivot]] = order[[pivot, r]]
+        factors = a[r + 1:, c] * pow(int(a[r, c]), -1, p) % p
+        a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(factors, a[r, c:])) % p
+        yield c, int(order[r])
+        r += 1
+
+
+def _bareiss_kernel(rows: list[list[int]], ncols: int,
+                    pivots: list[tuple[int, int]],
+                    free: list[int]) -> list[list[int]]:
+    """One candidate kernel vector of `rows` per free column f, in integers.
+
+    `pivots` are the (row, column) pairs of `_residue_pivots`, whose minor is
+    nonsingular with nonzero leading principal minors. Fraction-free Bareiss
+    elimination (Bareiss 1968) triangulates that minor with every -rows[:, f]
+    as a right-hand side; then det * x is integral by Cramer's rule, so back
+    substitution divides exactly. Each vector carries det at f and det * x
+    at the pivot columns, divided by the gcd of its entries. It satisfies
+    the pivot rows; whether it satisfies the others is the caller's check.
+    """
+    n = len(pivots)
+    pivot_cols = [c for _, c in pivots]
+    m = [[rows[i][c] for c in pivot_cols] + [-rows[i][f] for f in free]
+         for i, _ in pivots]
+    prev = 1
+    for k in range(n):
+        top = m[k]
+        lead = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(lead * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = lead
+    det = prev
+    vectors = []
+    for j, fc in enumerate(free):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            s = det * row[n + j] - sum(map(mul, row[i + 1:n], y[i + 1:]))
+            y[i] = s // row[i]
+        vec = [0] * ncols
+        for c, v in zip(pivot_cols, y):
+            vec[c] = v
+        vec[fc] = det
+        g = math.gcd(*vec)
+        vectors.append([v // g for v in vec])
+    return vectors
+
+
+def _annihilates(rows: list[list[int]], vec: list[int]) -> bool:
+    support = [(c, v) for c, v in enumerate(vec) if v]
+    return all(sum(row[c] * v for c, v in support) == 0 for row in rows)
+
+
+def _exact_kernel(rows: list[list[int]], ncols: int,
+                  first_only: bool = False) -> list[list]:
+    """Vectors spanning the kernel of the integer matrix `rows`; with
+    `first_only`, one nonzero kernel vector if there is one. [] means the
+    kernel is zero.
+
+    One elimination mod _PRIME picks r pivot rows and columns. With no free
+    column the columns have full rank mod p, hence over Q (rank mod p <=
+    rank over Q), and the kernel is zero. Otherwise `_bareiss_kernel` gives
+    one vector per free column, and an exact integer check A v = 0 on every
+    row gates them: k = ncols - r vectors that pass are independent (each
+    has a nonzero entry at its own free column only), and the nullity is at
+    most k, so they span the kernel. A vector that fails shows rank over Q
+    above r; then `_nullspace` decides.
+    """
+    # Eliminating from the last column (highest order and degree) first
+    # keeps the leading minors, which bound every Bareiss entry, smaller in
+    # the early steps: on H7's frontier cells they stay under 1200 bits for
+    # the first 90 of 127 steps, where the natural order passes 2000 bits by
+    # step 45, and the five solves take 2.5 s instead of 6.6 s.
+    pivots, free = [], []
+    for c, r in _residue_pivots(_residues(rows, ncols)[:, ::-1]):
+        if r is None:
+            free.append(ncols - 1 - c)
+        else:
+            pivots.append((r, ncols - 1 - c))
+    if not free:
+        return []
+    vectors = _bareiss_kernel(rows, ncols, pivots,
+                              free[:1] if first_only else free)
+    if all(_annihilates(rows, v) for v in vectors):
+        return vectors
+    return _nullspace([[Fraction(v) for v in row] for row in rows], ncols)
+
+
 def _reduced_column(reducer: _Reducer, m: int, d: int) -> dict[Term, Fraction]:
     """Normal form of the image of the basis operator x^d f^(m)."""
     nf, _ = reducer.reduce(
@@ -271,27 +424,31 @@ def _reduced_column(reducer: _Reducer, m: int, d: int) -> dict[Term, Fraction]:
     return nf.as_dict()
 
 
+def _cell_rows(reduced: dict[tuple[int, int], dict[Term, Fraction]],
+               M: int, D: int) -> list[list[int]]:
+    return _integer_rows([reduced[(m, d)] for m in range(M + 1)
+                          for d in range(D + 1)])
+
+
 def _solve_cell(reducer: _Reducer, reduced: dict[tuple[int, int], dict[Term, Fraction]],
                 bounds: SearchBounds) -> Optional[DerivationResult]:
     """Exact solve of cell (M, D) = (bounds.max_order, bounds.max_coeff_degree).
 
     `reduced` maps (m, d) to the normal form of x^d f^(m) for at least every
-    m <= M, d <= D; `reducer` produced it, at any caps (they never bind). One
-    Fraction nullspace decides the cell. Returns the found result, with the
-    certificate replayed through `reducer`, or None when the cell's columns
-    are independent.
+    m <= M, d <= D; `reducer` produced it, at any caps (they never bind).
+    `_exact_kernel` decides the cell on the integer form of those columns.
+    Returns the found result, with the certificate replayed through
+    `reducer`, or None when the cell's columns are independent.
     """
     M, D = bounds.max_order, bounds.max_coeff_degree
-    columns = [reduced[(m, d)] for m in range(M + 1) for d in range(D + 1)]
-    row_terms = sorted({t for col in columns for t in col}, key=term_order)
-    matrix = [[col.get(t, Fraction(0)) for col in columns] for t in row_terms]
-    basis = _nullspace(matrix, len(columns))
-    if not basis:
+    kernel = _exact_kernel(_cell_rows(reduced, M, D), (M + 1) * (D + 1))
+    if not kernel:
         return None
 
-    # canonical reduced basis over the operator coordinates, then the vector
-    # with lexicographically smallest support
-    basis, _ = _rref(basis)
+    # canonical reduced basis over the operator coordinates (unique for the
+    # kernel, whichever vectors span it), then the vector with
+    # lexicographically smallest support
+    basis, _ = _rref([[Fraction(v) for v in vec] for vec in kernel])
 
     def support_key(vec):
         return tuple(i for i, v in enumerate(vec) if v != 0)
@@ -394,38 +551,15 @@ class ScanResult:
         }
 
 
-# A 31-bit prime: residues and their pairwise products fit in numpy.int64.
-_PRIME = 2_147_483_647
-
-
-def _first_uncertain_column(columns: list[dict[Term, Fraction]]) -> int:
-    """Index of the first column that depends on the earlier ones mod _PRIME,
-    or that has a denominator divisible by _PRIME; len(columns) if none does.
+def _first_uncertain_column(residues: np.ndarray) -> int:
+    """Index of the first column that depends on the earlier ones mod
+    _PRIME; the number of columns if none does.
 
     Every shorter prefix has full column rank over Q: a minor that is
     nonzero mod p is nonzero over Q.
     """
-    p = _PRIME
-    rows = {t: r for r, t in enumerate({t for col in columns for t in col})}
-    a = np.zeros((len(rows), len(columns)), dtype=np.int64)
-    limit = len(columns)
-    for c, col in enumerate(columns):
-        if any(v.denominator % p == 0 for v in col.values()):
-            limit = c
-            break
-        for t, v in col.items():
-            a[rows[t], c] = v.numerator * pow(v.denominator, -1, p) % p
-    r = 0
-    for c in range(limit):
-        nonzero = np.flatnonzero(a[r:, c])
-        if nonzero.size == 0:
-            return c
-        pivot = r + int(nonzero[0])
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        a[r + 1:] = (a[r + 1:] - np.outer(a[r + 1:, c], a[r])) % p
-        r += 1
-    return limit
+    return next((c for c, row in _residue_pivots(residues) if row is None),
+                residues.shape[1])
 
 
 def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanResult:
@@ -438,16 +572,19 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     linearly dependent. Cells are decided in lexicographic order:
     - a cell above a found cell is found: the smaller cell's operator works;
     - a cell whose columns have full rank mod _PRIME is infeasible;
-    - any other cell is solved exactly by `_solve_cell` on the grid's
-      columns, as `derive_operator` solves it on the cell's own.
+    - any other cell is decided by `_exact_kernel` on the grid's columns:
+      until the first find by `_solve_cell`, as `derive_operator` solves it
+      on the cell's own, and after it by one exact kernel vector, since a
+      later cell needs only its status.
     The residue rank only rules cells out, and only where that is certain.
     """
     if P.degree < 1:
         raise DegeneratePushforward("P is constant")
     M, D = max_order, max_coeff_degree
     reducer = _Reducer(P, P.degree * (M + D), M)
-    reduced = {(m, d): _reduced_column(reducer, m, d)
-               for m in range(M + 1) for d in range(D + 1)}
+    cells = [(m, d) for m in range(M + 1) for d in range(D + 1)]
+    reduced = {c: _reduced_column(reducer, *c) for c in cells}
+    residues = _residues(_integer_rows([reduced[c] for c in cells]), len(cells))
     grid: dict[tuple[int, int], str] = {}
     found: list[tuple[int, int]] = []
     minimal = None
@@ -455,21 +592,25 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     for m in range(M + 1):
         # order <= m columns by degree, so cell (m, d) is a prefix
         columns = [(mm, d) for d in range(D + 1) for mm in range(m + 1)]
-        first = _first_uncertain_column([reduced[c] for c in columns])
+        first = _first_uncertain_column(
+            residues[:, [mm * (D + 1) + d for mm, d in columns]])
         full_rank_below = columns[first][1] if first < len(columns) else D + 1
         for d in range(D + 1):
             if any(fm <= m and fd <= d for fm, fd in found):
-                status = "found"
+                feasible = True
             elif d < full_rank_below:
-                status = "infeasible-at-bounds"
+                feasible = False
+            elif result is None:
+                result = _solve_cell(reducer, reduced, default_bounds(P, m, d))
+                feasible = result is not None
+                if feasible:
+                    minimal = (m, d)
             else:
-                outcome = _solve_cell(reducer, reduced, default_bounds(P, m, d))
-                status = "infeasible-at-bounds" if outcome is None else "found"
-                if outcome is not None and result is None:
-                    minimal, result = (m, d), outcome
-            if status == "found":
+                feasible = bool(_exact_kernel(_cell_rows(reduced, m, d),
+                                              (m + 1) * (d + 1), first_only=True))
+            if feasible:
                 found.append((m, d))
-            grid[(m, d)] = status
+            grid[(m, d)] = "found" if feasible else "infeasible-at-bounds"
     return ScanResult(poly=P, max_order=max_order,
                       max_coeff_degree=max_coeff_degree,
                       grid=grid, minimal=minimal, result=result)

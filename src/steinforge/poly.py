@@ -44,7 +44,7 @@ class Polynomial:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [rational(c) for c in coeffs]
@@ -211,10 +211,18 @@ class Polynomial:
         return acc
 
     def eval_float(self, x):
-        """Round-to-nearest Horner evaluation; accepts floats or numpy arrays."""
+        """Round-to-nearest Horner evaluation; accepts floats or numpy arrays.
+
+        The coefficients are converted to float on the first call only.
+        """
+        try:
+            floats = self._floats
+        except AttributeError:
+            floats = tuple(float(c) for c in reversed(self._coeffs))
+            object.__setattr__(self, "_floats", floats)
         acc = 0.0 * x
-        for c in reversed(self._coeffs):
-            acc = acc * x + float(c)
+        for c in floats:
+            acc = acc * x + c
         return acc
 
     # -- serialization ---------------------------------------------------------

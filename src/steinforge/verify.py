@@ -70,7 +70,7 @@ def verify_symbolic(op: DiffOperator, P: Polynomial,
 
 def operator_values(op: DiffOperator, f: TestFunction, w: np.ndarray) -> np.ndarray:
     """(A f) evaluated at the points w."""
-    total = np.zeros_like(w, dtype=float)
+    total = 0.0
     for m, pm in enumerate(op.coefficients):
         if pm.is_zero:
             continue

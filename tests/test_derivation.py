@@ -5,14 +5,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steinforge import derivation
 from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationResult, ScanResult,
-                                   SearchBounds, _Reducer,
-                                   default_bounds, derive_operator,
+                                   SearchBounds, _PRIME, _Reducer,
+                                   _exact_kernel, _integer_rows, _nullspace,
+                                   _rref, default_bounds, derive_operator,
                                    ibp_identity, leading_coefficient_report,
                                    minimal_scan, operator_image,
                                    verify_certificate)
@@ -35,6 +36,25 @@ def rational_polys(draw):
     coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     lead = draw(coeff.filter(lambda c: c != 0))
     return Polynomial([draw(coeff) for _ in range(degree)] + [lead])
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices: half of them products of thinner factors, so
+    rank deficient, and with entries that vanish mod _PRIME or carry it in
+    a denominator."""
+    entry = st.one_of(
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+        st.sampled_from([Fraction(_PRIME), Fraction(-2 * _PRIME),
+                         Fraction(_PRIME, 3), Fraction(1, _PRIME)]))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(nrows, ncols)))
+        a = [[draw(entry) for _ in range(inner)] for _ in range(nrows)]
+        b = [[draw(entry) for _ in range(ncols)] for _ in range(inner)]
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                 for col in zip(*b)] for row in a]
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def brute_force_scan(P, M, D) -> ScanResult:
@@ -247,6 +267,51 @@ class TestScan:
         assert len(exact_calls) > at_default_prime
 
 
+class TestExactKernel:
+    @staticmethod
+    def columns(matrix):
+        """Column dicts of a dense matrix, with row i as the term (i, 0)."""
+        return [{(i, 0): row[c] for i, row in enumerate(matrix) if row[c] != 0}
+                for c in range(len(matrix[0]))]
+
+    @settings(deadline=None, max_examples=200)
+    @given(rational_matrices())
+    @example([[Fraction(_PRIME)]])
+    @example([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(6 + _PRIME)]])
+    def test_matches_fraction_nullspace(self, matrix):
+        # same row space after _rref as the Fraction reference, whether the
+        # residue rank is right or the gate has to fall back
+        ncols = len(matrix[0])
+        rows = _integer_rows(self.columns(matrix))
+        reference = _nullspace([row[:] for row in matrix], ncols)
+        kernel = [[Fraction(v) for v in vec] for vec in _exact_kernel(rows, ncols)]
+        assert _rref(kernel) == _rref(reference)
+        first = _exact_kernel(rows, ncols, first_only=True)
+        assert len(first) >= 1 if reference else first == []
+        for vec in first:
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+
+    def test_prime_three_falls_back_and_grids_match(self, monkeypatch):
+        # mod 3 many residue ranks fall short of the rational rank, so the
+        # exact check must reject candidates and _nullspace must decide
+        cases = [(H3, 5, 4), (H4, 5, 4), (hermite(5), 5, 4)]
+        references = [minimal_scan(*case).to_dict() for case in cases]
+        derived = brute_force_scan(H3, 5, 4).to_dict()
+        fallbacks = []
+        real = derivation._nullspace
+
+        def counting(rows, ncols):
+            fallbacks.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(derivation, "_nullspace", counting)
+        monkeypatch.setattr(derivation, "_PRIME", 3)
+        for case, reference in zip(cases, references):
+            assert minimal_scan(*case).to_dict() == reference
+        assert fallbacks
+        assert brute_force_scan(H3, 5, 4).to_dict() == derived
+
+
 class TestLeadingCoefficientReport:
     def test_h3_vs_table_polynomial(self):
         r = derive_operator(H3, 5, 2)
@@ -286,7 +351,6 @@ def _dense_reference_feasible(P, M, D, I, J):
     rows = sorted({t for vec in col_vecs for t in vec})
     matrix = [[vec.get(t, Fraction(0)) for vec in col_vecs] for t in rows]
     # generic fraction RREF nullspace, then project onto the q block
-    from steinforge.derivation import _nullspace, _rref
     basis = _nullspace(matrix, len(col_vecs))
     q_block = [v[: len(q_cols)] for v in basis]
     q_block = [v for v in q_block if any(c != 0 for c in v)]

@@ -59,6 +59,22 @@ def test_eval_float_matches_exact():
     assert got == pytest.approx(float(H4(Fraction(3, 2))), rel=1e-14)
 
 
+def test_eval_float_converts_coefficients_once(monkeypatch):
+    conversions = []
+    real = Fraction.__float__
+
+    def counting(q):
+        conversions.append(q)
+        return real(q)
+
+    monkeypatch.setattr(Fraction, "__float__", counting)
+    P = Polynomial([Fraction(1, 3), 0, Fraction(-7, 2), 5])
+    values = [P.eval_float(x) for x in (0.75, 0.75, -2.0)]
+    assert len(conversions) == 4
+    assert values[0] == values[1]
+    assert values[2] == pytest.approx(-161 / 3, rel=1e-14)
+
+
 def test_zero_representation():
     assert Polynomial([0, 0]).is_zero
     assert Polynomial([0, 0]).coeffs == ()
