@@ -10,30 +10,35 @@ Identities are triangular for the (derivative, z-power) order: the identity
 indexed (k, j) is the only one whose largest term is (k + deg(P) - 2, j + 1).
 Eliminating identity multipliers therefore reduces to back-substitution
 (a no-fill pivot order for the homogeneous system), after which only a small
-dense nullspace problem over the operator coefficients remains.
+dense nullspace problem over the operator coefficients remains. `_reduce`
+does it in one sweep, with no caps. Its normal form holds no leading term of
+any identity, so an image lies in the span of the identities exactly when
+its normal form is zero.
 
-The caps never bind. Let p = deg(P) and reduce the image of x^d f^(m), whose
-terms are (i, m) with i <= p*d, with caps I >= p*(m + d) and J >= m.
-Reducing the term (i, j) uses identity (k, j - 1) with k = i - p + 2 and
-creates terms (k, j - 1), (k - 2, j - 1) and (k - 1 + l, j) for l < p - 1.
-- The derivative level never rises: new terms sit at level j or j - 1, so
-  every level stays <= m <= J.
-- For p >= 2, k <= i and k - 1 + l <= i - 1, so no reduction creates a
-  z-power above the one it removes. Every reduced term has i <= p*d <= I,
-  and max(k, i) = i <= I.
+Every identity the sweep uses lies within the cell's default caps. Let
+p = deg(P) and reduce the image of x^d f^(m), m <= M and d <= D, whose terms
+are (i, m) with i <= p*d; the caps are I = p*(M + D) and J = M. Cancelling
+the term (i, j) uses identity (k, j - 1) with k = i - p + 2, whose largest
+term is (k + p - 2, j) = (i, j), and creates terms (k, j - 1), (k - 2, j - 1)
+and (k - 1 + l, j) for l < p - 1.
+- The derivative level never rises, so j - 1 < m <= J.
+- For p >= 2, k <= i and k - 1 + l <= i - 1, so no step creates a z-power
+  above the one it removes. Every cancelled term has i <= p*d <= I, and
+  max(k, k + p - 2) = i <= I.
 - For p = 1, P' is constant, so only (i + 1, j - 1) and (i - 1, j - 1) are
-  created and i + j never rises. A reducible term (i, j) has j >= 1 and
-  i + j <= m + d, so k = i + 1 <= m + d <= I.
-Hence `_Reducer.reduce` never meets a cap. The normal form and multipliers
-of a column are the same at the cell's default caps, at the caps of any
-larger grid and at deepened caps, and deepening cannot change a status.
+  created and i + j never rises. A cancelled term (i, j) has j >= 1 and
+  i + j <= m + d, so max(k, k - 1) = i + 1 <= m + d <= I.
+The sweep is linear, so an operator of the cell uses only those identities
+too. A search restricted to the identities within the default caps, or
+within any larger caps (those of a grid, or the deepened caps an infeasible
+payload echoes), therefore decides every cell as the sweep does, and
+deepening cannot change a status.
 
-So one exact solver, `_solve_cell`, decides a cell from its reduced columns
-whatever caps reduced them. `derive_operator` reduces the cell's columns at
-its default caps and solves once. `minimal_scan` reduces each grid column
-once; cell (m, d) is then a column subset, feasible exactly when those
-columns are linearly dependent, and only the cells that a rank test mod a
-prime cannot rule out reach the exact kernel.
+So one exact solver, `_solve_cell`, decides a cell from its reduced columns.
+`derive_operator` reduces the cell's columns and solves once. `minimal_scan`
+reduces each grid column once; cell (m, d) is then a column subset, feasible
+exactly when those columns are linearly dependent, and only the cells that a
+rank test mod a prime cannot rule out reach the exact kernel.
 
 The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
 row is cleared of denominators, and one elimination modulo the prime
@@ -76,8 +81,9 @@ class SearchBounds:
     """Caps for the feasibility search.
 
     max_order bounds the operator's derivative order, max_coeff_degree its
-    coefficient degrees; z_power_cap and derivative_cap bound the term
-    indices an identity may touch.
+    coefficient degrees; z_power_cap and derivative_cap name the identity
+    family a result covers: identity (k, j) is in it when j < derivative_cap
+    and max(k, k + deg(P) - 2) <= z_power_cap.
     """
 
     max_order: int
@@ -176,67 +182,48 @@ def operator_image(op: DiffOperator, P: Polynomial) -> ExpectationVector:
     return ExpectationVector(items)
 
 
-class _Reducer:
-    """Back-substitution over the triangular identity family within caps."""
+def _reduce(P: Polynomial, terms: dict[Term, Fraction]):
+    """Return (normal form, multipliers) with terms = NF + sum(mult * identity).
 
-    def __init__(self, P: Polynomial, z_power_cap: int, derivative_cap: int):
-        self.P = P
-        self.deg = P.degree
-        self.dcoeffs = P.derivative().coeffs
-        self.lead = self.dcoeffs[-1]  # = deg(P) * lc(P), nonzero
-        self.z_power_cap = z_power_cap
-        self.derivative_cap = derivative_cap
-
-    def rule_index(self, t: Term) -> Optional[tuple[int, int]]:
-        """Identity whose largest term is t, if that identity is within caps."""
-        i, j = t
-        if j < 1 or j > self.derivative_cap:
-            return None
-        k = i - self.deg + 2
-        if k < 1:
-            return None
-        if max(k, i) > self.z_power_cap:
-            return None
-        return (k, j - 1)
-
-    def reduce(self, vec: ExpectationVector):
-        """Return (normal form, multipliers) with vec = NF + sum(mult * identity)."""
-        levels: dict[int, dict[int, Fraction]] = {}
-        for (i, j), c in vec.as_dict().items():
-            levels.setdefault(j, {})[i] = c
-        multipliers: dict[tuple[int, int], Fraction] = {}
-
-        def add(i: int, j: int, c: Fraction) -> None:
-            lvl = levels.setdefault(j, {})
-            s = lvl.get(i, Fraction(0)) + c
-            if s == 0:
-                lvl.pop(i, None)
-            else:
-                lvl[i] = s
-
-        max_level = max(levels, default=0)
-        for j in range(max_level, 0, -1):
-            lvl = levels.get(j, {})
-            while True:
-                reducible = [i for i in lvl if self.rule_index((i, j)) is not None]
-                if not reducible:
-                    break
-                i = max(reducible)
-                coeff = lvl.pop(i)
-                k, jj = self.rule_index((i, j))
-                lam = coeff / (-self.lead)
-                multipliers[(k, jj)] = multipliers.get((k, jj), Fraction(0)) + lam
-                # subtract lam * identity(k, jj); its (i, j) entry cancels exactly
-                add(k, jj, -lam)
-                if k >= 2:
-                    add(k - 2, jj, lam * (k - 1))
-                for l, c in enumerate(self.dcoeffs[:-1]):
-                    if c != 0:
-                        add(k - 1 + l, j, lam * c)
-        nf = ExpectationVector(
-            {(i, j): c for j, lvl in levels.items() for i, c in lvl.items()})
-        multipliers = {kj: v for kj, v in multipliers.items() if v != 0}
-        return nf, multipliers
+    Each derivative level is a dense list. The sweep runs from the top level
+    down to 1 and, within a level, from the highest z-power down to p - 1
+    (p = deg P), cancelling the entry (i, j) with identity (k, j - 1),
+    k = i - p + 2. That identity adds only to level j below z-power i and to
+    level j - 1, so no entry is touched after it is cancelled and each
+    identity is used at most once. For p = 1, k = i + 1: every level down
+    may reach one z-power higher, so the lists are padded by the number of
+    levels. The normal form is level 0 and the z-powers below p - 1 of the
+    other levels; the entries from p - 1 up keep their cancelled values and
+    are left out.
+    """
+    p = P.degree
+    dcoeffs = P.derivative().coeffs
+    lead = dcoeffs[-1]  # = deg(P) * lc(P), nonzero
+    top = max((j for _, j in terms), default=0)
+    width = max((i for i, _ in terms), default=0) + 1 + (top if p == 1 else 0)
+    levels = [[0] * width for _ in range(top + 1)]
+    for (i, j), c in terms.items():
+        levels[j][i] = c
+    multipliers: dict[tuple[int, int], Fraction] = {}
+    for j in range(top, 0, -1):
+        level, below = levels[j], levels[j - 1]
+        for i in range(width - 1, p - 2, -1):
+            c = level[i]
+            if not c:
+                continue
+            k = i - p + 2
+            lam = c / -lead
+            multipliers[(k, j - 1)] = lam
+            # subtract lam * identity(k, j - 1); its (i, j) entry cancels c
+            below[k] -= lam
+            if k >= 2:
+                below[k - 2] += lam * (k - 1)
+            for l, a in enumerate(dcoeffs[:-1]):
+                if a:
+                    level[k - 1 + l] += lam * a
+    nf = {(i, j): c for j, level in enumerate(levels)
+          for i, c in enumerate(level if j == 0 else level[:p - 1]) if c}
+    return nf, multipliers
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -417,11 +404,12 @@ def _exact_kernel(rows: list[list[int]], ncols: int,
     return _nullspace([[Fraction(v) for v in row] for row in rows], ncols)
 
 
-def _reduced_column(reducer: _Reducer, m: int, d: int) -> dict[Term, Fraction]:
-    """Normal form of the image of the basis operator x^d f^(m)."""
-    nf, _ = reducer.reduce(
-        operator_image(DiffOperator.single(m, Polynomial.monomial(d)), reducer.P))
-    return nf.as_dict()
+def _reduced_column(P: Polynomial, m: int, d: int) -> dict[Term, Fraction]:
+    """Normal form of the image of the basis operator x^d f^(m): the
+    coefficients of P^d on level m, reduced."""
+    nf, _ = _reduce(P, {(i, m): e for i, e in enumerate(_poly_power(P, d).coeffs)
+                        if e})
+    return nf
 
 
 def _cell_rows(reduced: dict[tuple[int, int], dict[Term, Fraction]],
@@ -430,15 +418,14 @@ def _cell_rows(reduced: dict[tuple[int, int], dict[Term, Fraction]],
                           for d in range(D + 1)])
 
 
-def _solve_cell(reducer: _Reducer, reduced: dict[tuple[int, int], dict[Term, Fraction]],
+def _solve_cell(P: Polynomial, reduced: dict[tuple[int, int], dict[Term, Fraction]],
                 bounds: SearchBounds) -> Optional[DerivationResult]:
     """Exact solve of cell (M, D) = (bounds.max_order, bounds.max_coeff_degree).
 
     `reduced` maps (m, d) to the normal form of x^d f^(m) for at least every
-    m <= M, d <= D; `reducer` produced it, at any caps (they never bind).
-    `_exact_kernel` decides the cell on the integer form of those columns.
-    Returns the found result, with the certificate replayed through
-    `reducer`, or None when the cell's columns are independent.
+    m <= M, d <= D. `_exact_kernel` decides the cell on the integer form of
+    those columns. Returns the found result, with the certificate replayed
+    through `_reduce`, or None when the cell's columns are independent.
     """
     M, D = bounds.max_order, bounds.max_coeff_degree
     kernel = _exact_kernel(_cell_rows(reduced, M, D), (M + 1) * (D + 1))
@@ -458,11 +445,11 @@ def _solve_cell(reducer: _Reducer, reduced: dict[tuple[int, int], dict[Term, Fra
             Polynomial(vec[m * (D + 1):(m + 1) * (D + 1)]) for m in range(M + 1))))
 
     op = build(min(basis, key=support_key))
-    nf, multipliers = reducer.reduce(operator_image(op, reducer.P))
-    if not nf.is_zero:
+    nf, multipliers = _reduce(P, operator_image(op, P).as_dict())
+    if nf:
         raise AssertionError("reduction of an admissible operator must vanish")
     return DerivationResult(
-        status="found", poly=reducer.P, bounds_used=bounds, operator=op,
+        status="found", poly=P, bounds_used=bounds, operator=op,
         certificate=Certificate(multipliers), nullspace_dim=len(basis),
         basis=tuple(build(vec) for vec in basis))
 
@@ -472,12 +459,13 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
     """Search for a nonzero operator of order <= max_order with coefficient
     degrees <= max_coeff_degree whose expectation vanishes for W = P(Z).
 
-    One exact solve at the default caps decides the cell: the caps never
-    bind (module docstring), so a cell infeasible there is infeasible at any
-    larger caps. An infeasible result echoes the caps that `deepen_rounds`
-    rounds of cap deepening reach, the z-power cap grown by p*M on rounds
-    0, 2, ... and the derivative cap by 2 on rounds 1, 3, ..., so its payload
-    names the caps the search is known to cover at no extra solve.
+    One exact solve decides the cell: every identity the reduction uses lies
+    within the default caps (module docstring), so a cell infeasible there
+    is infeasible at any larger caps. An infeasible result echoes the caps
+    that `deepen_rounds` rounds of cap deepening reach, the z-power cap
+    grown by p*M on rounds 0, 2, ... and the derivative cap by 2 on rounds
+    1, 3, ..., so its payload names the caps the search is known to cover
+    at no extra solve.
     Infeasibility is relative to the searched family, never a nonexistence
     proof.
     """
@@ -493,10 +481,9 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
             basis=(op,))
 
     bounds = default_bounds(P, max_order, max_coeff_degree)
-    reducer = _Reducer(P, bounds.z_power_cap, bounds.derivative_cap)
-    reduced = {(m, d): _reduced_column(reducer, m, d)
+    reduced = {(m, d): _reduced_column(P, m, d)
                for m in range(max_order + 1) for d in range(max_coeff_degree + 1)}
-    result = _solve_cell(reducer, reduced, bounds)
+    result = _solve_cell(P, reduced, bounds)
     if result is not None:
         return result
     rounds = max(deepen_rounds, 0)
@@ -566,8 +553,7 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     """Feasibility status of every (order, degree) cell plus the first found
     cell in order-then-degree lexicographic order, with its full result.
 
-    Each grid column x^d f^(m) is reduced once, at the grid's caps (the caps
-    never bind, see the module docstring). Cell (m, d) is then the column
+    Each grid column x^d f^(m) is reduced once. Cell (m, d) is then the column
     subset m' <= m, d' <= d, and it is feasible exactly when that subset is
     linearly dependent. Cells are decided in lexicographic order:
     - a cell above a found cell is found: the smaller cell's operator works;
@@ -578,12 +564,13 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
       later cell needs only its status.
     The residue rank only rules cells out, and only where that is certain.
     """
+    if max_order < 0 or max_coeff_degree < 0:
+        raise DerivationError("order and degree bounds must be nonnegative")
     if P.degree < 1:
         raise DegeneratePushforward("P is constant")
     M, D = max_order, max_coeff_degree
-    reducer = _Reducer(P, P.degree * (M + D), M)
     cells = [(m, d) for m in range(M + 1) for d in range(D + 1)]
-    reduced = {c: _reduced_column(reducer, *c) for c in cells}
+    reduced = {c: _reduced_column(P, *c) for c in cells}
     residues = _residues(_integer_rows([reduced[c] for c in cells]), len(cells))
     grid: dict[tuple[int, int], str] = {}
     found: list[tuple[int, int]] = []
@@ -601,7 +588,7 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
             elif d < full_rank_below:
                 feasible = False
             elif result is None:
-                result = _solve_cell(reducer, reduced, default_bounds(P, m, d))
+                result = _solve_cell(P, reduced, default_bounds(P, m, d))
                 feasible = result is not None
                 if feasible:
                     minimal = (m, d)

@@ -150,7 +150,13 @@ def verify_all(op: DiffOperator, P: Polynomial,
                methods: Sequence[str] = ("symbolic", "quadrature", "monte-carlo"),
                max_degree: int = 30, nodes: int = 201, tol: float = 1e-8,
                samples: int = 1_000_000, seed: int = 0) -> list[VerificationReport]:
-    """Run the requested verification routes against one operator."""
+    """Run the requested verification routes against one operator.
+
+    The zero operator annihilates every f, so a pass for it would certify
+    nothing; it is refused before any route runs.
+    """
+    if op.is_zero:
+        raise ValueError("the zero operator annihilates everything; nothing to verify")
     suite = tuple(suite) or default_suite()
     reports = []
     for method in methods:
@@ -168,22 +174,6 @@ def verify_all(op: DiffOperator, P: Polynomial,
         else:
             raise ValueError(f"unknown verification method {method!r}")
     return reports
-
-
-def vector_quadrature_residual(vec, P: Polynomial, f: TestFunction,
-                               nodes: int = 201) -> float:
-    """Numerical value of a term vector: sum of coeff * E[Z^i f^(j)(P(Z))].
-
-    A sound identity has value zero up to rule error, so this is the
-    numerical soundness check for generated identities.
-    """
-    rule = gauss_hermite_rule(nodes)
-    z, wts = rule.arrays()
-    w = P.eval_float(z)
-    total = 0.0
-    for (i, j), c in vec.items():
-        total += float(c) * float(np.dot(wts, z ** i * f.derivative(w, j)))
-    return total
 
 
 def verify_noncentral_operator(params: NoncentralParams,

@@ -97,6 +97,25 @@ class TestExitCodes:
         assert code == 64 and out == ""
         assert "quadrature nodes" in err
 
+    def test_zero_operator_is_64(self, tmp_path):
+        # the zero operator annihilates everything, so no route may pass it
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"coefficients": []}))
+        for methods in ("symbolic", "quadrature", "mc"):
+            code, out, err = run_cli("verify", "--operator", str(path),
+                                     "--poly", "x^3-3x", "--methods", methods)
+            assert code == 64 and out == ""
+            assert "zero operator" in err
+
+    @pytest.mark.parametrize("bounds", [("-1", "2"), ("2", "-1")])
+    def test_negative_scan_bounds_are_64(self, bounds):
+        order, degree = bounds
+        for cmd in (["scan", "--poly", "x^3-3x"], ["conjecture", "--hermite", "5"]):
+            code, out, err = run_cli(*cmd, "--max-order", order,
+                                     "--max-degree", degree)
+            assert code == 64 and out == ""
+            assert "nonnegative" in err
+
     def test_verify_pass_and_fail(self):
         code, out, _ = run_cli("verify", "--catalog", "normal",
                                "--samples", "20000")

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from steinforge import derivation
 from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
-                                   DerivationResult, ScanResult,
-                                   SearchBounds, _PRIME, _Reducer,
+                                   DerivationError, DerivationResult, ScanResult,
+                                   SearchBounds, _PRIME, _reduce,
                                    _exact_kernel, _integer_rows, _nullspace,
                                    _rref, default_bounds, derive_operator,
                                    ibp_identity, leading_coefficient_report,
@@ -230,6 +230,13 @@ class TestScan:
         with pytest.raises(DegeneratePushforward):
             minimal_scan(Polynomial([2]), 2, 2)
 
+    @pytest.mark.parametrize("M,D", [(-1, 2), (2, -1)])
+    def test_negative_bounds_rejected(self, M, D):
+        # checked before P, as derive_operator checks them
+        for P in (H3, Polynomial([2])):
+            with pytest.raises(DerivationError, match="nonnegative"):
+                minimal_scan(P, M, D)
+
     @pytest.mark.parametrize("P,M,D", SCAN_CASES)
     def test_matches_per_cell_derivation(self, P, M, D):
         assert minimal_scan(P, M, D).to_dict() == \
@@ -437,20 +444,28 @@ def test_result_serialization_deterministic():
     assert d["bounds"] == {"M": 5, "D": 2, "I": 21, "J": 5}
 
 
-@settings(deadline=None, max_examples=40)
-@given(rational_polys(), st.integers(0, 4), st.integers(0, 3),
-       st.integers(0, 3), st.integers(0, 3))
-def test_reduction_never_reaches_a_cap(P, m, d, grow_m, grow_d):
-    # the module docstring proves this; the normal form and multipliers of a
-    # column are the same at its cell's caps, a grid's caps and 3x those caps
-    M, D = m + grow_m, d + grow_d
+@settings(deadline=None, max_examples=60)
+@given(rational_polys(), st.integers(0, 4), st.integers(0, 3))
+@example(Polynomial([Fraction(1, 2), -3]), 4, 3)
+@example(Polynomial([1, 0, 0, 0, 0, 2]), 4, 3)
+def test_reduction_matches_identities_within_cell_caps(P, m, d):
+    # the trusted core replays the sweep: the image of x^d f^(m) is its
+    # normal form plus the used identities, each within the cell's default
+    # caps (what the echoed I and J rely on), and the normal form holds no
+    # term that an identity could cancel
     image = operator_image(DiffOperator.single(m, Polynomial.monomial(d)), P)
-    cell = default_bounds(P, m, d)
-    caps = [(cell.z_power_cap, cell.derivative_cap),
-            (P.degree * (M + D), M),
-            (3 * P.degree * (M + D), M + 6)]
-    tight, grid, wide = (_Reducer(P, I, J).reduce(image) for I, J in caps)
-    assert tight == grid == wide
+    nf, multipliers = _reduce(P, image.as_dict())
+    total = ExpectationVector(nf)
+    for (k, j), lam in multipliers.items():
+        assert lam != 0
+        total = total + ibp_identity(k, j, P).scaled(lam)
+    assert total == image
+    caps = default_bounds(P, m, d)
+    p = P.degree
+    for k, j in multipliers:
+        assert j < caps.derivative_cap
+        assert max(k, k + p - 2) <= caps.z_power_cap
+    assert all(j == 0 or i < p - 1 for i, j in nf)
 
 
 @settings(deadline=None, max_examples=20)

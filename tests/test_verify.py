@@ -183,18 +183,6 @@ def test_mutation_controls_all_detected():
     assert results_n and all(detected for _, _, detected in results_n)
 
 
-def test_identity_residuals_small_where_rule_resolves():
-    from steinforge.derivation import ibp_identity
-    from steinforge.verify import vector_quadrature_residual
-    rng = np.random.default_rng(31)
-    P = Polynomial([0, 2, 1])
-    for _ in range(50):
-        k = int(rng.integers(1, 9))
-        j = int(rng.integers(0, 5))
-        resid = vector_quadrature_residual(ibp_identity(k, j, P), P, sine(1.0))
-        assert abs(resid) <= 1e-8, (k, j, resid)
-
-
 def test_report_json_shape():
     rep = verify_quadrature(catalog("normal").operator, Polynomial.x(),
                             [sine(1.0)])
