@@ -93,7 +93,10 @@ def parse_polynomial(text: str) -> Polynomial:
         coef = Fraction(1)
         have_coef = False
         if kind == "coef":
-            coef = Fraction(value)
+            try:
+                coef = Fraction(value)
+            except ZeroDivisionError:
+                raise PolynomialSyntaxError("zero denominator", at) from None
             have_coef = True
             save = pos
             kind, value, at = next_token()
@@ -124,7 +127,10 @@ def parse_polynomial(text: str) -> Polynomial:
 
 def _poly_from_args(args) -> Polynomial:
     if getattr(args, "coeffs", None):
-        return Polynomial([Fraction(c) for c in args.coeffs.split(",")])
+        try:
+            return Polynomial([Fraction(c) for c in args.coeffs.split(",")])
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in --coeffs {args.coeffs}") from None
     if getattr(args, "poly", None):
         return parse_polynomial(args.poly)
     raise UsageError("a polynomial is required (--poly or --coeffs)")

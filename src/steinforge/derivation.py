@@ -11,9 +11,9 @@ indexed (k, j) is the only one whose largest term is (k + deg(P) - 2, j + 1).
 Eliminating identity multipliers therefore reduces to back-substitution
 (a no-fill pivot order for the homogeneous system), after which only a small
 dense nullspace problem over the operator coefficients remains. `_reduce`
-does it in one sweep, with no caps. Its normal form holds no leading term of
-any identity, so an image lies in the span of the identities exactly when
-its normal form is zero.
+does it in one integer sweep, with no caps. Its normal form holds no
+leading term of any identity, so an image lies in the span of the
+identities exactly when its normal form is zero.
 
 Every identity the sweep uses lies within the cell's default caps. Let
 p = deg(P) and reduce the image of x^d f^(m), m <= M and d <= D, whose terms
@@ -33,6 +33,26 @@ too. A search restricted to the identities within the default caps, or
 within any larger caps (those of a grid, or the deepened caps an infeasible
 payload echoes), therefore decides every cell as the sweep does, and
 deepening cannot change a status.
+
+The sweep runs in Python ints. With q the lcm of the denominators of P'
+and a_l = q * (coefficient l of P'), L = a_(p-1), cancelling an entry c
+divides it by -L exactly and then only multiplies and adds. The input is
+scaled by its common denominator times L^E. Give the entry (i, j) the
+potential phi = i + j for p >= 2, or i + 2j for p = 1: every term a
+cancellation creates has a potential at least 1 below the cancelled one, so
+an entry at phi has been divided by L at most phi_0 - phi times, phi_0 the
+largest input potential. E = phi_0 + 1 (`_depth_bound`) therefore makes
+every division exact, with 2 to spare, since cancelled entries have
+phi >= 2. Each division is still checked, so a wrong bound raises rather
+than giving a wrong normal form. Only the outputs become Fractions, one gcd
+per entry.
+
+The identity (k, j) has the same coefficients at every level j, so the
+sweep commutes with shifting all levels by one amount. `_reduced_columns`
+reduces P^d from level M once and reads every column (m, d), m <= M, off
+that sweep: its level 0 is level M - m just before that level is swept,
+and its other levels are the residues of the levels above, shifted down by
+M - m. D + 1 sweeps of M levels give the (M + 1)(D + 1) columns.
 
 So one exact solver, `_solve_cell`, decides a cell from its reduced columns.
 `derive_operator` reduces the cell's columns and solves once. `minimal_scan`
@@ -182,48 +202,135 @@ def operator_image(op: DiffOperator, P: Polynomial) -> ExpectationVector:
     return ExpectationVector(items)
 
 
+def _cleared_derivative(P: Polynomial) -> tuple[list[int], int]:
+    """(a, q): a_l = q * c_l for the coefficients c_l of P', q the lcm of
+    their denominators."""
+    dcoeffs = P.derivative().coeffs
+    q = math.lcm(*[c.denominator for c in dcoeffs])
+    return [c.numerator * (q // c.denominator) for c in dcoeffs], q
+
+
+def _depth_bound(p: int, terms) -> int:
+    """E = phi_0 + 1 for deg P = p, phi_0 the largest potential among the
+    input `terms`, (i, j) pairs: scaled by L^E, every division of the sweep
+    is exact (module docstring)."""
+    return max((i + j if p >= 2 else i + 2 * j for i, j in terms),
+               default=0) + 1
+
+
+def _sweep_level(level: list[int], below: list[int], a: list[int],
+                 q: int) -> list[tuple[int, int]]:
+    """Cancel `level` from its highest z-power down to p - 1 (p = deg P),
+    adding into `level` and `below`; returns the pairs (k, mu).
+
+    Identity (k, j - 1), k = i - p + 2, times q is
+    q T(k, j-1) - q (k-1) T(k-2, j-1) - sum_l a_l T(k-1+l, j). Its (i, j)
+    entry is -L, L = a[-1], so mu = c / -L cancels the entry c and the
+    identity's multiplier is mu * q over the sweep's scale. The division is
+    checked: a remainder means the scale was too small, and the normal form
+    would be wrong.
+    """
+    p = len(a)
+    neg_lead = -a[-1]
+    lower = [(l - 1, a_l) for l, a_l in enumerate(a[:-1]) if a_l]
+    used = []
+    for i in range(len(level) - 1, p - 2, -1):
+        c = level[i]
+        if not c:
+            continue
+        mu, remainder = divmod(c, neg_lead)
+        if remainder:
+            raise AssertionError("inexact division in the reduction sweep")
+        k = i - p + 2
+        used.append((k, mu))
+        mq = mu * q
+        below[k] -= mq
+        if k >= 2:
+            below[k - 2] += mq * (k - 1)
+        for offset, a_l in lower:
+            level[k + offset] += mu * a_l
+    return used
+
+
 def _reduce(P: Polynomial, terms: dict[Term, Fraction]):
     """Return (normal form, multipliers) with terms = NF + sum(mult * identity).
 
-    Each derivative level is a dense list. The sweep runs from the top level
-    down to 1 and, within a level, from the highest z-power down to p - 1
-    (p = deg P), cancelling the entry (i, j) with identity (k, j - 1),
-    k = i - p + 2. That identity adds only to level j below z-power i and to
-    level j - 1, so no entry is touched after it is cancelled and each
-    identity is used at most once. For p = 1, k = i + 1: every level down
-    may reach one z-power higher, so the lists are padded by the number of
-    levels. The normal form is level 0 and the z-powers below p - 1 of the
-    other levels; the entries from p - 1 up keep their cancelled values and
-    are left out.
+    Each derivative level is a dense list of ints over one scale: the
+    common denominator of the terms times L^E (`_depth_bound`). The sweep
+    runs from the top level down to 1 and, within a level, from the highest
+    z-power down to p - 1 (p = deg P), cancelling the entry (i, j) with
+    identity (k, j - 1), k = i - p + 2 (`_sweep_level`). That identity adds
+    only to level j below z-power i and to level j - 1, so no entry is
+    touched after it is cancelled and each identity is used at most once.
+    For p = 1, k = i + 1: every level down may reach one z-power higher, so
+    the lists are padded by the number of levels. The normal form is level 0
+    and the z-powers below p - 1 of the other levels; the entries from p - 1
+    up keep their cancelled values and are left out. Only the outputs become
+    Fractions, over the one scale.
+
+    The identity (k, j) has the same coefficients at every level j, so the
+    sweep commutes with shifting every level by the same amount:
+    `_reduced_columns` reads all orders of one degree off one sweep.
     """
-    p = P.degree
-    dcoeffs = P.derivative().coeffs
-    lead = dcoeffs[-1]  # = deg(P) * lc(P), nonzero
+    a, q = _cleared_derivative(P)
+    p = len(a)
     top = max((j for _, j in terms), default=0)
     width = max((i for i, _ in terms), default=0) + 1 + (top if p == 1 else 0)
+    scale = math.lcm(*[c.denominator for c in terms.values()]) * \
+        a[-1] ** _depth_bound(p, terms)
     levels = [[0] * width for _ in range(top + 1)]
     for (i, j), c in terms.items():
-        levels[j][i] = c
+        levels[j][i] = c.numerator * (scale // c.denominator)
     multipliers: dict[tuple[int, int], Fraction] = {}
     for j in range(top, 0, -1):
-        level, below = levels[j], levels[j - 1]
-        for i in range(width - 1, p - 2, -1):
-            c = level[i]
-            if not c:
-                continue
-            k = i - p + 2
-            lam = c / -lead
-            multipliers[(k, j - 1)] = lam
-            # subtract lam * identity(k, j - 1); its (i, j) entry cancels c
-            below[k] -= lam
-            if k >= 2:
-                below[k - 2] += lam * (k - 1)
-            for l, a in enumerate(dcoeffs[:-1]):
-                if a:
-                    level[k - 1 + l] += lam * a
-    nf = {(i, j): c for j, level in enumerate(levels)
+        for k, mu in _sweep_level(levels[j], levels[j - 1], a, q):
+            multipliers[(k, j - 1)] = Fraction(mu * q, scale)
+    nf = {(i, j): Fraction(c, scale) for j, level in enumerate(levels)
           for i, c in enumerate(level if j == 0 else level[:p - 1]) if c}
     return nf, multipliers
+
+
+def _reduced_columns(P: Polynomial, M: int,
+                     D: int) -> dict[tuple[int, int], dict[Term, Fraction]]:
+    """Normal form of the image of every basis operator x^d f^(m), m <= M,
+    d <= D, keyed (m, d): the coefficients of P^d on level m, reduced.
+
+    One sweep per degree d reduces P^d from level M. By the level-shift
+    invariance (`_reduce`), column (m, d) is that sweep shifted down by
+    M - m: its level 0 is level M - m as it stood just before its own
+    sweep, and its level j >= 1 is the residue (z-powers below p - 1) of
+    level M - m + j. The powers of the cleared integer r*P, r the lcm of
+    P's denominators, are built in the same loop; P^d's sweep runs over the
+    scale r^d * L^E.
+    """
+    a, q = _cleared_derivative(P)
+    p = len(a)
+    r = math.lcm(*[c.denominator for c in P.coeffs])
+    base = [c.numerator * (r // c.denominator) for c in P.coeffs]
+    power = [1]
+    columns = {}
+    for d in range(D + 1):
+        lift = a[-1] ** _depth_bound(p, [(p * d, M)])
+        scale = r ** d * lift
+        width = p * d + 1 + (M if p == 1 else 0)
+        levels = [[0] * width for _ in range(M + 1)]
+        levels[M][:len(power)] = [c * lift for c in power]
+        residues: dict[Term, Fraction] = {}  # of the swept levels, by level
+        for j in range(M, -1, -1):
+            column = {(i, 0): Fraction(c, scale)
+                      for i, c in enumerate(levels[j]) if c}
+            column.update(((i, h - j), v) for (i, h), v in residues.items())
+            columns[(M - j, d)] = column
+            if j:
+                _sweep_level(levels[j], levels[j - 1], a, q)
+                residues.update(((i, j), Fraction(c, scale))
+                                for i, c in enumerate(levels[j][:p - 1]) if c)
+        product = [0] * (len(power) + p)
+        for t, c in enumerate(power):
+            for s, b in enumerate(base):
+                product[t + s] += c * b
+        power = product
+    return columns
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -404,14 +511,6 @@ def _exact_kernel(rows: list[list[int]], ncols: int,
     return _nullspace([[Fraction(v) for v in row] for row in rows], ncols)
 
 
-def _reduced_column(P: Polynomial, m: int, d: int) -> dict[Term, Fraction]:
-    """Normal form of the image of the basis operator x^d f^(m): the
-    coefficients of P^d on level m, reduced."""
-    nf, _ = _reduce(P, {(i, m): e for i, e in enumerate(_poly_power(P, d).coeffs)
-                        if e})
-    return nf
-
-
 def _cell_rows(reduced: dict[tuple[int, int], dict[Term, Fraction]],
                M: int, D: int) -> list[list[int]]:
     return _integer_rows([reduced[(m, d)] for m in range(M + 1)
@@ -481,8 +580,7 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
             basis=(op,))
 
     bounds = default_bounds(P, max_order, max_coeff_degree)
-    reduced = {(m, d): _reduced_column(P, m, d)
-               for m in range(max_order + 1) for d in range(max_coeff_degree + 1)}
+    reduced = _reduced_columns(P, max_order, max_coeff_degree)
     result = _solve_cell(P, reduced, bounds)
     if result is not None:
         return result
@@ -570,7 +668,7 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
         raise DegeneratePushforward("P is constant")
     M, D = max_order, max_coeff_degree
     cells = [(m, d) for m in range(M + 1) for d in range(D + 1)]
-    reduced = {c: _reduced_column(P, *c) for c in cells}
+    reduced = _reduced_columns(P, M, D)
     residues = _residues(_integer_rows([reduced[c] for c in cells]), len(cells))
     grid: dict[tuple[int, int], str] = {}
     found: list[tuple[int, int]] = []

@@ -91,6 +91,17 @@ class TestExitCodes:
                              "--degree", "1")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ("derive", "--coeffs=1,2/0", "--order", "1", "--degree", "1"),
+        ("scan", "--coeffs=1,1/0", "--max-order", "1", "--max-degree", "1"),
+        ("derive", "--poly", "1/0x", "--order", "1", "--degree", "1"),
+        ("scan", "--poly", "x^2 + 3/0", "--max-order", "1", "--max-degree", "1"),
+    ])
+    def test_zero_denominator_is_64(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 64 and out == ""
+        assert "zero denominator" in err
+
     def test_too_many_quadrature_nodes_is_64(self):
         code, out, err = run_cli("verify", "--catalog", "h3", "--methods",
                                  "quadrature", "--nodes", "800")

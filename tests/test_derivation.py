@@ -12,7 +12,8 @@ from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationError, DerivationResult, ScanResult,
                                    SearchBounds, _PRIME, _reduce,
-                                   _exact_kernel, _integer_rows, _nullspace,
+                                   _reduced_columns, _exact_kernel,
+                                   _integer_rows, _nullspace,
                                    _rref, default_bounds, derive_operator,
                                    ibp_identity, leading_coefficient_report,
                                    minimal_scan, operator_image,
@@ -466,6 +467,31 @@ def test_reduction_matches_identities_within_cell_caps(P, m, d):
         assert j < caps.derivative_cap
         assert max(k, k + p - 2) <= caps.z_power_cap
     assert all(j == 0 or i < p - 1 for i, j in nf)
+
+
+@settings(deadline=None, max_examples=40)
+@given(rational_polys(), st.integers(0, 6), st.integers(0, 4))
+@example(Polynomial([Fraction(1, 2), Fraction(3, 2)]), 6, 4)
+@example(Polynomial([2, Fraction(-1, 2)]), 5, 3)
+@example(Polynomial([0, Fraction(1, 2), Fraction(1, 3)]), 6, 4)
+@example(Polynomial([1, 0, -1, 0, 0, Fraction(3, 2)]), 4, 4)
+def test_reduced_columns_match_per_column_reduction(P, M, D):
+    # one sweep per degree, read at every level, gives each column's own
+    # reduction: degree 1 (padded lists), leads 3/2 and -1/2, and P' with
+    # denominators (q > 1)
+    columns = _reduced_columns(P, M, D)
+    assert set(columns) == {(m, d) for m in range(M + 1) for d in range(D + 1)}
+    for (m, d), column in columns.items():
+        image = operator_image(DiffOperator.single(m, Polynomial.monomial(d)), P)
+        assert column == _reduce(P, image.as_dict())[0]
+
+
+def test_too_small_scale_raises(monkeypatch):
+    # unscaled, H3's first cancellation divides its lead 1 by -L = -3; the
+    # checked division must raise rather than truncate
+    monkeypatch.setattr(derivation, "_depth_bound", lambda p, terms: 0)
+    with pytest.raises(AssertionError, match="inexact division"):
+        derive_operator(H3, 5, 2)
 
 
 @settings(deadline=None, max_examples=20)
