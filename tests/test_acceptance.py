@@ -267,7 +267,7 @@ def test_criterion_4_cross_method_agreement():
             else:
                 unresolved.append(
                     f"{leg} (rule error {check.residual - ref[0, j]:.1e})")
-            if not verify_monte_carlo(op, P, f, samples=1_000_000,
+            if not verify_monte_carlo(op, P, [f], samples=1_000_000,
                                       seed=2024).passed:
                 mc_failures.append(leg)
         # a mutant counts as detected only on a leg that the unmutated
@@ -381,7 +381,7 @@ def _conjecture_case(n: int, max_order: int, max_degree: int,
         P = hermite(n)
         assert verify_certificate(scan.result, P)
         symbolic_ok = verify_symbolic(op, P, 30).passed
-        mc_ok = verify_monte_carlo(op, P, sine(1.0), 1_000_000, seed=8).passed
+        mc_ok = verify_monte_carlo(op, P, [sine(1.0)], 1_000_000, seed=8).passed
         payload["comparison"] = leading_coefficient_report(
             scan.result, printed_conjecture).to_dict()
         payload["divides"] = printed_conjecture.divides(op.coefficients[-1])

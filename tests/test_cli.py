@@ -259,10 +259,32 @@ class TestColdStart:
             "import steinforge.cli\n"
             "from steinforge.noncentral import NoncentralParams, density_integral\n"
             "density_integral(NoncentralParams(k=2, lam=1), lambda x: 1.0)")
-        assert "scipy.integrate" in density
+        assert "scipy.special" in density and "scipy.integrate" not in density
 
 
 def test_main_callable_in_process(capsys):
     code = main(["catalog", "list"])
     assert code == 0
     assert "normal" in capsys.readouterr().out
+
+
+def test_parser_survives_a_usage_error(capsys):
+    # main builds its parser once per process; a parse that fails midway
+    # must leave it as it was for the next call
+    good = ["derive", "--poly", "x^2-1", "--order", "1", "--degree", "1"]
+    outputs = []
+    for argv in (good, ["derive", "--poly", "x^2-1", "--order", "1"], good):
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[1] == (64, "")
+    assert outputs[0] == outputs[2] and outputs[0][0] == 0
+
+
+def test_noncentral_large_lambda_verifies(capsys):
+    # the per-point Bessel series overflows at lambda = 400 (exit 70 before
+    # the density rule worked in log space)
+    code = main(["noncentral", "--k", "3", "--lambda", "400", "--verify"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["pass"] is True
+    assert all(t["params"]["resolved"] for t in
+               payload["density_checks"]["operator_report"]["tests"])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from steinforge.catalog import catalog
-from steinforge.gaussian import (QuadratureValidationError, gauss_hermite_rule,
-                                 hermite)
+from steinforge import gaussian
+from steinforge.cli import main
+from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
+                                 gauss_hermite_rule, hermite)
 from steinforge.noncentral import NoncentralParams
 from steinforge.operators import DiffOperator
 from steinforge.poly import Polynomial
@@ -146,28 +148,54 @@ class TestQuadrature:
 
 class TestMonteCarlo:
     def test_h3_sine_gate(self):
-        rep = verify_monte_carlo(catalog("h3").operator, H3, sine(1.0),
+        rep = verify_monte_carlo(catalog("h3").operator, H3, [sine(1.0)],
                                  samples=1_000_000, seed=11)
         assert rep.passed
 
     def test_normal_variance_scale(self):
         rep = verify_monte_carlo(catalog("normal").operator, Polynomial.x(),
-                                 monomial(2), samples=1_000_000, seed=5)
+                                 [monomial(2)], samples=1_000_000, seed=5)
         se = rep.checks[0].params["standard_error"]
         # Var(2Z - Z^3) = 7, so the standard error is sqrt(7)/1000
         assert 2e-3 < se < 4e-3
         assert rep.passed
 
     def test_determinism(self):
-        a = verify_monte_carlo(catalog("h4").operator, H4, cosine(0.5),
+        a = verify_monte_carlo(catalog("h4").operator, H4, [cosine(0.5)],
                                samples=50_000, seed=99)
-        b = verify_monte_carlo(catalog("h4").operator, H4, cosine(0.5),
+        b = verify_monte_carlo(catalog("h4").operator, H4, [cosine(0.5)],
                                samples=50_000, seed=99)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
+    def test_one_draw_per_chunk(self, monkeypatch):
+        # every suite function is estimated from the same draws, so an mc job
+        # draws each chunk once
+        calls = []
+        original = gaussian._normal_chunk
+
+        def counted(seed, index):
+            calls.append(index)
+            return original(seed, index)
+
+        monkeypatch.setattr(gaussian, "_normal_chunk", counted)
+        samples = 200_000
+        code = main(["verify", "--catalog", "h3", "--methods", "mc",
+                     "--samples", str(samples), "--seed", "4"])
+        assert code == 0
+        assert calls == list(chunk_indices(samples))
+
+    def test_suite_report_matches_single_function_reports(self):
+        suite = default_suite()
+        joint = verify_monte_carlo(catalog("h4").operator, H4, suite,
+                                   samples=50_000, seed=12)
+        single = [verify_monte_carlo(catalog("h4").operator, H4, [f],
+                                     samples=50_000, seed=12).checks[0]
+                  for f in suite]
+        assert list(joint.checks) == single
+
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            verify_monte_carlo(catalog("h4").operator, H4, sine(1.0),
+            verify_monte_carlo(catalog("h4").operator, H4, [sine(1.0)],
                                samples=100, seed=0)
 
 
@@ -199,4 +227,4 @@ def test_three_route_agreement_on_certified_operator():
     P = Polynomial([1, 2, 1])
     assert verify_symbolic(op, P, 20).passed
     assert verify_quadrature(op, P, default_suite()).passed
-    assert verify_monte_carlo(op, P, sine(1.0), 100_000, seed=3).passed
+    assert verify_monte_carlo(op, P, [sine(1.0)], 100_000, seed=3).passed
