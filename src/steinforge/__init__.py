@@ -2,8 +2,7 @@
 Stein operators for random variables W = P(Z), Z standard Gaussian."""
 
 from .poly import Polynomial, Rational, format_rational, parse_rational, rational
-from .gaussian import (GaussianSampler, QuadratureRule, gauss_hermite_rule,
-                       gaussian_moment, hermite, pushforward_moment)
+from .gaussian import gauss_hermite_rule, gaussian_moment, hermite, pushforward_moment
 from .terms import ExpectationVector, Term
 from .operators import (DiffOperator, expectation_applied, moment_recursion,
                         normalize_operator, proportional_eq, translate_operator)
@@ -15,7 +14,7 @@ from .catalog import (CatalogEntry, catalog, catalog_keys, noncentral_chi2_opera
 from .testfunctions import (TestFunction, cosine, default_suite, gaussian_bump,
                             monomial, sine)
 from .noncentral import NoncentralParams, bessel_i, noncentral_pdf
-from .verify import (VerificationReport, target_expectation, verify_monte_carlo,
-                     verify_noncentral_operator, verify_quadrature, verify_symbolic)
+from .verify import (VerificationReport, verify_monte_carlo, verify_noncentral_operator,
+                     verify_quadrature, verify_symbolic)
 
 __version__ = "0.1.0"

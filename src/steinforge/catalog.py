@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .gaussian import hermite
+from .gaussian import gauss_hermite_rule, hermite
 from .operators import DiffOperator
 from .poly import Polynomial, RationalLike, rational
 
@@ -277,49 +277,18 @@ class ExtremaReport:
                 "checks": [vars(c) for c in self.checks]}
 
 
-def _poly_roots_bisection(p: Polynomial, bound: float, tol: float = 1e-14) -> list[float]:
-    """All real roots of p in [-bound, bound] by sign-change bisection.
-
-    The grid step is fine enough for the well-separated Hermite zeros used
-    here; repeated roots would be missed, but none occur.
-    """
-    grid = 4096
-    xs = [(-bound + 2 * bound * i / grid) for i in range(grid + 1)]
-    vals = [p.eval_float(x) for x in xs]
-    roots = []
-    for i in range(grid):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0:
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = p.eval_float(mid)
-                if fm == 0.0 or (b - a) < tol:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
-
-
 def verify_table1_extrema(n: int, tolerance: float = 1e-10) -> ExtremaReport:
-    """Locate critical points of the n-th Hermite polynomial numerically and
-    match the attained local extrema against the stored exact values."""
+    """Locate the critical points of the n-th Hermite polynomial and match
+    the attained local extrema against the stored exact values.
+
+    He_n' = n He_(n-1), so the critical points are the zeros of He_(n-1):
+    the nodes of the validated (n-1)-point Gauss-Hermite rule.
+    """
     if not 2 <= n <= 6:
         raise ValueError("extrema rows exist for n = 2..6")
     hn = hermite(n)
-    dh = hn.derivative()  # = n * hermite(n-1)
     second = hn.derivative(2)
-    bound = 2.0 * math.sqrt(float(n)) + 1.0
-    crit = _poly_roots_bisection(dh, bound)
+    crit = gauss_hermite_rule(n - 1)[0].tolist()  # Python floats
     maxima = [(x, hn.eval_float(x)) for x in crit if second.eval_float(x) < 0]
     minima = [(x, hn.eval_float(x)) for x in crit if second.eval_float(x) > 0]
     data = _EXTREMA[n]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -144,6 +145,18 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _tolerance(text: str) -> float:
+    """A residual tolerance: positive and finite, since inf certifies anything."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be positive and finite: {text}")
+    return value
 
 
 def _emit(payload: dict, fmt: str, latex_text: Optional[str] = None) -> None:
@@ -347,7 +360,7 @@ def build_parser() -> _Parser:
     add_poly(p)
     p.add_argument("--methods", default="symbolic,quadrature,mc")
     p.add_argument("--nodes", type=int, default=201)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     add_format(p)
@@ -370,7 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--lambda", type=float, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     add_format(p)
     p.set_defaults(func=_cmd_noncentral)
     return parser

@@ -8,7 +8,6 @@ and samples are explicitly float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,33 +69,6 @@ class QuadratureValidationError(RuntimeError):
     """A constructed rule failed its exactness check against known moments."""
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights integrating against the standard Gaussian weight.
-
-    Weights sum to 1; nodes are strictly increasing and sign-symmetric.
-    An n-point rule integrates x^k exactly for k <= 2n-1.
-    """
-
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.nodes), np.asarray(self.weights)
-
-    def expectation(self, func) -> float:
-        """Estimate E[func(Z)] for a vectorized callable."""
-        x, w = self.arrays()
-        return float(np.dot(w, func(x)))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "nodes": list(self.nodes), "weights": list(self.weights)}
-
-
 def _validate_rule(nodes: np.ndarray, weights: np.ndarray, rtol: float = 1e-12) -> None:
     n = len(nodes)
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
@@ -150,16 +122,19 @@ def _orthonormal_hermite_values(x: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return cur, total
 
 
-# Built rules by n. A QuadratureRule is frozen tuples, so sharing one is safe.
-_RULES: dict[int, QuadratureRule] = {}
+# Built rules by n. The arrays are read-only, so sharing them is safe.
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def gauss_hermite_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Hermite rule for the weight exp(-z^2/2)/sqrt(2*pi).
+def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Hermite rule for the weight exp(-z^2/2)/sqrt(2*pi),
+    as read-only float64 arrays (nodes, weights).
 
-    Nodes start as eigenvalues of the symmetric tridiagonal Jacobi matrix of
-    the Hermite recurrence (off-diagonal sqrt(k)) and are polished by Newton
-    steps on the orthonormal recurrence; weights are the Christoffel numbers
+    Weights sum to 1; nodes are strictly increasing and sign-symmetric, and
+    the rule integrates z^k exactly for k <= 2n-1. Nodes start as
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the Hermite
+    recurrence (off-diagonal sqrt(k)) and are polished by Newton steps on
+    the orthonormal recurrence; weights are the Christoffel numbers
     1 / sum_k p_k(x_i)^2. The rule is checked against exact moments up to
     degree 2n-1 before being returned. Built rules are cached by n; a build
     that fails raises again on the next call.
@@ -190,8 +165,9 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
         weights = 0.5 * (weights + weights[::-1])
         weights = weights / weights.sum()
     _validate_rule(nodes, weights)
-    rule = _RULES[n] = QuadratureRule(tuple(float(v) for v in nodes),
-                                      tuple(float(v) for v in weights))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    rule = _RULES[n] = nodes, weights
     return rule
 
 
@@ -215,41 +191,6 @@ def _normal_chunk(seed: int, index: int) -> np.ndarray:
     out[0::2] = r * np.cos(2.0 * np.pi * u2)
     out[1::2] = r * np.sin(2.0 * np.pi * u2)
     return out
-
-
-@dataclass
-class GaussianSampler:
-    """Deterministic chunked Gaussian stream.
-
-    The same (seed, counter) always yields the same sequence; drawing
-    advances the counter by whole chunks, so restarting a sampler at a
-    recorded counter reproduces the remainder of the stream.
-    """
-
-    seed: int
-    counter: int = 0
-    _buffer: np.ndarray = field(default_factory=lambda: np.empty(0),
-                                repr=False, compare=False)
-
-    def sample(self, count: int) -> np.ndarray:
-        if count < 1:
-            raise ValueError("count must be positive")
-        parts = []
-        remaining = count
-        if self._buffer.size:
-            take = min(remaining, self._buffer.size)
-            parts.append(self._buffer[:take])
-            self._buffer = self._buffer[take:]
-            remaining -= take
-        while remaining > 0:
-            chunk = _normal_chunk(self.seed, self.counter)
-            self.counter += 1
-            take = min(remaining, chunk.size)
-            parts.append(chunk[:take])
-            if take < chunk.size:
-                self._buffer = chunk[take:]
-            remaining -= take
-        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
 
 
 def chunk_indices(total: int) -> range:

@@ -29,46 +29,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .gaussian import _CHUNK, _normal_chunk
+from .gaussian import _CHUNK, _normal_chunk, chunk_indices
 
 
 @dataclass(frozen=True)
 class NoncentralParams:
-    """Degrees of freedom k > 0 and noncentrality lam >= 0.
-
-    When component means are given, k must be their (integer) count and
-    lam their squared sum; that form enables exact sampling as a sum of
-    squared shifted Gaussians.
-    """
+    """Finite degrees of freedom k > 0 and finite noncentrality lam >= 0."""
 
     k: float
     lam: float
-    means: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.k) and math.isfinite(self.lam)):
+            raise ValueError("degrees of freedom and noncentrality must be finite")
         if self.k <= 0:
             raise ValueError("degrees of freedom must be positive")
         if self.lam < 0:
             raise ValueError("noncentrality must be nonnegative")
-        if self.means is not None:
-            if len(self.means) != int(self.k) or self.k != int(self.k):
-                raise ValueError("means require integer k matching their count")
-            if abs(sum(m * m for m in self.means) - self.lam) > 1e-12:
-                raise ValueError("noncentrality must equal the squared mean sum")
-
-    @classmethod
-    def from_means(cls, means: Sequence[float]) -> "NoncentralParams":
-        means = tuple(float(m) for m in means)
-        return cls(k=float(len(means)), lam=sum(m * m for m in means), means=means)
 
     def component_means(self) -> tuple[float, ...]:
-        """Means for sampling; defaults to (sqrt(lam), 0, ..., 0)."""
-        if self.means is not None:
-            return self.means
+        """Means (sqrt(lam), 0, ..., 0) of the k summands, for sampling.
+
+        The law of sum (Z_i + mu_i)^2 depends on the means only through k
+        and lam = sum mu_i^2, so one choice of means serves every sample.
+        """
         if self.k != int(self.k):
             raise ValueError("sampling requires integer degrees of freedom")
         return (math.sqrt(self.lam),) + (0.0,) * (int(self.k) - 1)
@@ -245,11 +233,7 @@ def sample_noncentral(params: NoncentralParams, seed: int,
     so the draw sequence is independent of chunk scheduling.
     """
     mus = params.component_means()
-    chunks = (total + _CHUNK - 1) // _CHUNK
-    for idx in range(chunks):
-        size = min(_CHUNK, total - idx * _CHUNK)
-        x = np.zeros(size)
-        for comp, mu in enumerate(mus):
-            z = _normal_chunk(seed, ((comp + 1) << 40) + idx)[:size]
-            x += (z + mu) ** 2
-        yield idx, x
+    for idx in chunk_indices(total):
+        x = sum((_normal_chunk(seed, ((comp + 1) << 40) + idx) + mu) ** 2
+                for comp, mu in enumerate(mus))
+        yield idx, x[:total - idx * _CHUNK]

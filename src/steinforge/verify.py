@@ -18,13 +18,13 @@ scipy.special; scipy.integrate is not used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .gaussian import QuadratureRule, chunk_indices, chunk_normals, gauss_hermite_rule
-from .noncentral import (NoncentralParams, density_integral,
-                         resolved_density_integral, sample_noncentral)
+from .gaussian import chunk_indices, chunk_normals, gauss_hermite_rule
+from .noncentral import (NoncentralParams, resolved_density_integral,
+                         sample_noncentral)
 from .operators import DiffOperator, expectation_applied
 from .poly import Polynomial
 from .testfunctions import TestFunction, default_suite, monomial
@@ -97,17 +97,6 @@ def operator_values(op: DiffOperator, f: TestFunction, w: np.ndarray) -> np.ndar
     return _applied(_coefficient_values(op, w), f, w)
 
 
-def target_expectation(target: Target, h: TestFunction,
-                       rule: Optional[QuadratureRule] = None) -> float:
-    """Quadrature estimate of E[h(W)] for W = P(Z) or W noncentral chi-square."""
-    if isinstance(target, Polynomial):
-        if rule is None:
-            rule = gauss_hermite_rule(201)
-        z, wts = rule.arrays()
-        return float(np.dot(wts, h(target.eval_float(z))))
-    return density_integral(target, h)
-
-
 def verify_quadrature(op: DiffOperator, P: Polynomial,
                       suite: Sequence[TestFunction] = (),
                       nodes: int = 201, tol: float = 1e-8) -> VerificationReport:
@@ -120,8 +109,7 @@ def verify_quadrature(op: DiffOperator, P: Polynomial,
     suite = tuple(suite) or default_suite()
     for f in suite:
         f.derivative(0.0, op.order)  # raises when the order is unavailable
-    rule = gauss_hermite_rule(nodes)
-    z, wts = rule.arrays()
+    z, wts = gauss_hermite_rule(nodes)
     w = P.eval_float(z)
     checks = []
     for f in suite:

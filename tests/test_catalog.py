@@ -1,14 +1,16 @@
 """Catalog entries, leading-coefficient table and extrema checks."""
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from steinforge.catalog import (RadicalValue, catalog, catalog_keys,
+from steinforge.catalog import (ExtremaData, RadicalValue, catalog, catalog_keys,
                                 noncentral_chi2_operator, quadratic_operator,
                                 verify_table1_extrema)
+from steinforge.gaussian import hermite
 from steinforge.operators import expectation_applied
 from steinforge.poly import Polynomial
 
@@ -112,6 +114,46 @@ def test_radical_values():
 def test_extrema_verification(n):
     report = verify_table1_extrema(n)
     assert report.passed, report.to_dict()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_extrema_locations_are_critical_points(n):
+    derivative = hermite(n).derivative()
+    scale = sum(abs(float(c)) for c in derivative.coeffs)
+    report = verify_table1_extrema(n)
+    assert len(report.checks) == n - 1
+    for check in report.checks:
+        assert type(check.location) is float and type(check.value) is float
+        assert abs(derivative.eval_float(check.location)) <= 1e-12 * scale
+
+
+# the package binds the name `catalog` to the function, not the module
+_CATALOG = importlib.import_module("steinforge.catalog")
+
+
+def test_extrema_value_off_by_1e9_fails(monkeypatch):
+    # negative control: H4 has its one local maximum 3 at x = 0
+    row = _CATALOG._EXTREMA[4]
+    shifted = ExtremaData(maxima=(RadicalValue.exact(3 + Fraction(1, 10 ** 9)),),
+                          minima=row.minima)
+    monkeypatch.setitem(_CATALOG._EXTREMA, 4, shifted)
+    report = verify_table1_extrema(4)
+    assert not report.passed
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.kind for c in failed] == ["max"]
+    assert failed[0].value == pytest.approx(3.0, abs=1e-12)
+
+
+def test_extrema_missing_minimum_fails_the_count(monkeypatch):
+    # negative control: H4 has two minima -6; the table keeps only one
+    row = _CATALOG._EXTREMA[4]
+    monkeypatch.setitem(_CATALOG._EXTREMA, 4,
+                        ExtremaData(maxima=row.maxima, minima=row.minima[:1]))
+    report = verify_table1_extrema(4)
+    assert not report.passed
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.kind for c in failed] == ["min"]
+    assert math.isnan(failed[0].value)
 
 
 def test_extrema_h5_h6_closed_forms():

@@ -127,6 +127,24 @@ class TestExitCodes:
             assert code == 64 and out == ""
             assert "nonnegative" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "abc"])
+    @pytest.mark.parametrize("cmd", [
+        ["verify", "--catalog", "h3", "--methods", "quadrature"],
+        ["noncentral", "--k", "2", "--lambda", "1", "--verify"],
+    ])
+    def test_tolerance_must_be_positive_and_finite(self, cmd, tol, capsys):
+        # --tol inf would pass anything, h3's failing quadrature leg included
+        assert main([*cmd, "--tol", tol]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "positive and finite" in captured.err
+
+    @pytest.mark.parametrize("k,lam", [("2", "inf"), ("inf", "1"),
+                                       ("nan", "1"), ("2", "nan")])
+    def test_non_finite_noncentral_params_are_64(self, k, lam, capsys):
+        assert main(["noncentral", "--k", k, "--lambda", lam]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
+
     def test_verify_pass_and_fail(self):
         code, out, _ = run_cli("verify", "--catalog", "normal",
                                "--samples", "20000")

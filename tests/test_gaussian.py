@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinforge.gaussian import (GaussianSampler, QuadratureValidationError,
-                                 _poly_power, gauss_hermite_rule, gaussian_moment,
-                                 hermite, pushforward_moment)
+from steinforge.gaussian import (QuadratureValidationError, _poly_power,
+                                 chunk_indices, chunk_normals, gauss_hermite_rule,
+                                 gaussian_moment, hermite, pushforward_moment)
 from steinforge.poly import Polynomial
 from test_derivation import rational_polys
 
@@ -78,56 +78,68 @@ def test_hermite_orthogonality():
 
 
 def test_rule_small_closed_forms():
-    r1 = gauss_hermite_rule(1)
-    assert r1.nodes == (0.0,) and r1.weights == (1.0,)
-    r2 = gauss_hermite_rule(2)
-    assert r2.nodes == pytest.approx((-1.0, 1.0), abs=1e-15)
-    assert r2.weights == pytest.approx((0.5, 0.5), abs=1e-15)
-    r3 = gauss_hermite_rule(3)
+    nodes, weights = gauss_hermite_rule(1)
+    assert nodes.tolist() == [0.0] and weights.tolist() == [1.0]
+    nodes, weights = gauss_hermite_rule(2)
+    assert nodes == pytest.approx([-1.0, 1.0], abs=1e-15)
+    assert weights == pytest.approx([0.5, 0.5], abs=1e-15)
+    nodes, weights = gauss_hermite_rule(3)
     s3 = math.sqrt(3.0)
-    assert r3.nodes == pytest.approx((-s3, 0.0, s3), abs=1e-14)
-    assert r3.weights == pytest.approx((1 / 6, 2 / 3, 1 / 6), abs=1e-14)
+    assert nodes == pytest.approx([-s3, 0.0, s3], abs=1e-14)
+    assert weights == pytest.approx([1 / 6, 2 / 3, 1 / 6], abs=1e-14)
 
 
 @pytest.mark.parametrize("n", list(range(1, 61)) + [101, 201])
 def test_rule_validates_all_required_sizes(n):
-    rule = gauss_hermite_rule(n)  # construction itself runs the moment check
-    assert len(rule.nodes) == n
-    assert abs(sum(rule.weights) - 1.0) <= 1e-13
-    assert all(b > a for a, b in zip(rule.nodes, rule.nodes[1:]))
+    nodes, weights = gauss_hermite_rule(n)  # construction runs the moment check
+    assert nodes.dtype == weights.dtype == np.float64
+    assert nodes.shape == weights.shape == (n,)
+    assert abs(weights.sum() - 1.0) <= 1e-13
+    assert np.all(np.diff(nodes) > 0)
     # symmetry: +/- node pairs with equal weights
-    assert rule.nodes == tuple(-v for v in reversed(rule.nodes))
-    assert rule.weights == tuple(reversed(rule.weights))
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
 
 
 def test_rule_is_built_once_per_n():
     assert gauss_hermite_rule(201) is gauss_hermite_rule(201)
 
 
-def test_rule_json_shape():
-    d = gauss_hermite_rule(3).to_dict()
-    assert set(d) == {"n", "nodes", "weights"} and d["n"] == 3
+def test_cached_rule_is_read_only():
+    nodes, weights = gauss_hermite_rule(7)
+    before = nodes.copy(), weights.copy()
+    for array in (nodes, weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+    again = gauss_hermite_rule(7)
+    assert again[0] is nodes and again[1] is weights
+    assert np.array_equal(nodes, before[0]) and np.array_equal(weights, before[1])
+
+
+def _stream(seed: int, total: int) -> np.ndarray:
+    return np.concatenate([chunk_normals(seed, i, total)
+                           for i in chunk_indices(total)])
 
 
 def test_sampler_determinism():
-    a = GaussianSampler(seed=7).sample(100_000)
-    b = GaussianSampler(seed=7).sample(100_000)
-    assert np.array_equal(a, b)
-    c = GaussianSampler(seed=8).sample(100_000)
-    assert not np.array_equal(a, c)
+    a = _stream(7, 100_000)
+    assert a.shape == (100_000,)
+    assert np.array_equal(a, _stream(7, 100_000))
+    assert not np.array_equal(a, _stream(8, 100_000))
 
 
-def test_sampler_restarts_at_counter():
-    s = GaussianSampler(seed=3)
-    first = s.sample(65536)
-    resumed = GaussianSampler(seed=3, counter=1).sample(65536)
-    second = s.sample(65536)
-    assert np.array_equal(resumed, second)
-    assert not np.array_equal(first, second)
+def test_chunk_is_independent_of_the_stream_length():
+    # chunk i depends only on (seed, i): a longer stream extends a shorter one
+    short, long = _stream(3, 100_000), _stream(3, 200_000)
+    assert np.array_equal(long[:100_000], short)
+    assert not np.array_equal(chunk_normals(3, 0, 200_000),
+                              chunk_normals(3, 1, 200_000))
 
 
 def test_sampler_clt_bounds():
-    x = GaussianSampler(seed=12345).sample(1_000_000)
+    x = _stream(12345, 1_000_000)
     assert abs(x.mean()) <= 5e-3
     assert abs(x.var(ddof=1) - 1.0) <= 1e-2
 
@@ -143,16 +155,15 @@ def test_quadrature_matches_exact_moment(n, k):
     # moments of degree <= 2n-1 are integrated exactly up to roundoff
     if k > 2 * n - 1:
         k = 2 * n - 1
-    rule = gauss_hermite_rule(n)
-    got = rule.expectation(lambda x: x ** k)
+    nodes, weights = gauss_hermite_rule(n)
+    got = float(np.dot(weights, nodes ** k))
     assert got == pytest.approx(float(gaussian_moment(k)), abs=1e-10)
 
 
 def test_validation_rejects_corrupt_rule():
     from steinforge.gaussian import _validate_rule
-    rule = gauss_hermite_rule(5)
-    nodes = np.asarray(rule.nodes)
-    weights = np.asarray(rule.weights).copy()
+    nodes, weights = gauss_hermite_rule(5)
+    weights = weights.copy()
     weights[0] *= 1 + 1e-9
     weights[-1] *= 1 - 1e-9
     with pytest.raises(QuadratureValidationError):

@@ -10,6 +10,7 @@ from scipy import special
 
 from steinforge import noncentral
 from steinforge.catalog import noncentral_chi2_operator
+from steinforge.gaussian import _normal_chunk
 from steinforge.noncentral import (NoncentralParams, _density_rule,
                                    _log_density_factor, bessel_i,
                                    density_integral, noncentral_pdf,
@@ -55,14 +56,12 @@ class TestParams:
             NoncentralParams(k=0, lam=1)
         with pytest.raises(ValueError):
             NoncentralParams(k=2, lam=-0.5)
-        with pytest.raises(ValueError):
-            NoncentralParams(k=2, lam=1.0, means=(1.0,))
-        with pytest.raises(ValueError):
-            NoncentralParams(k=2, lam=5.0, means=(1.0, 1.0))
 
-    def test_from_means(self):
-        p = NoncentralParams.from_means([1.0, -1.0, 0.0])
-        assert p.k == 3 and p.lam == pytest.approx(2.0)
+    @pytest.mark.parametrize("k,lam", [(math.inf, 1.0), (2.0, math.inf),
+                                       (math.nan, 1.0), (2.0, math.nan)])
+    def test_non_finite_rejected(self, k, lam):
+        with pytest.raises(ValueError, match="finite"):
+            NoncentralParams(k=k, lam=lam)
 
     def test_default_means(self):
         p = NoncentralParams(k=3, lam=4.0)
@@ -254,6 +253,21 @@ class TestSampling:
         a = np.concatenate([x for _, x in sample_noncentral(params, 7, 100_000)])
         b = np.concatenate([x for _, x in sample_noncentral(params, 7, 100_000)])
         assert np.array_equal(a, b)
+
+    def test_draws_match_componentwise_reference(self):
+        # component i of chunk c is the Philox chunk keyed ((i+1) << 40) + c,
+        # truncated at the stream end; the last chunk here is partial
+        params = NoncentralParams(k=3, lam=2.0)
+        total = 150_000
+        chunks = list(sample_noncentral(params, 9, total))
+        assert [idx for idx, _ in chunks] == [0, 1, 2]
+        for idx, x in chunks:
+            size = min(1 << 16, total - idx * (1 << 16))
+            want = np.zeros(size)
+            for comp, mu in enumerate(params.component_means()):
+                z = _normal_chunk(9, ((comp + 1) << 40) + idx)[:size]
+                want += (z + mu) ** 2
+            assert np.array_equal(x, want)
 
     def test_sample_moments(self):
         params = NoncentralParams(k=4, lam=3.0)

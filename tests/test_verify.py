@@ -11,14 +11,14 @@ from steinforge import gaussian
 from steinforge.cli import main
 from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
                                  gauss_hermite_rule, hermite)
-from steinforge.noncentral import NoncentralParams
+from steinforge.noncentral import NoncentralParams, resolved_density_integral
 from steinforge.operators import DiffOperator
 from steinforge.poly import Polynomial
 from steinforge.testfunctions import (cosine, default_suite, gaussian_bump,
                                       monomial, sine)
 from steinforge.verify import (MAX_QUADRATURE_NODES, mutation_controls,
-                               target_expectation, verify_monte_carlo,
-                               verify_quadrature, verify_symbolic)
+                               verify_monte_carlo, verify_quadrature,
+                               verify_symbolic)
 
 H3 = hermite(3)
 H4 = hermite(4)
@@ -64,21 +64,30 @@ class TestSymbolic:
 
 
 class TestTargetExpectation:
+    """E[h(W)] through the 201-node rule arrays and the gated density rule."""
+
+    @staticmethod
+    def rule_expectation(P, h):
+        z, wts = gauss_hermite_rule(201)
+        return float(np.dot(wts, h(P.eval_float(z))))
+
     def test_centered_chi2_mean(self):
-        val = target_expectation(Polynomial([-1, 0, 1]), monomial(1))
+        val = self.rule_expectation(Polynomial([-1, 0, 1]), monomial(1))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_h3_second_moment(self):
-        val = target_expectation(H3, monomial(2))
+        val = self.rule_expectation(H3, monomial(2))
         assert val == pytest.approx(6.0, abs=1e-10)
 
     def test_odd_symmetry(self):
-        val = target_expectation(Polynomial.x(), sine(1.0))
+        val = self.rule_expectation(Polynomial.x(), sine(1.0))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_noncentral_mean(self):
-        val = target_expectation(NoncentralParams(2, 0.5), monomial(1))
-        assert val == pytest.approx(2.5, abs=1e-10)
+        result = resolved_density_integral(NoncentralParams(2, 0.5), monomial(1),
+                                           1e-10)
+        assert result.resolved
+        assert result.value == pytest.approx(2.5, abs=1e-10)
 
 
 class TestQuadrature:
@@ -112,11 +121,10 @@ class TestQuadrature:
         assert abs(rep.checks[0].residual) > 1.0
 
     def test_residual_matches_direct_formula(self):
-        from steinforge.gaussian import gauss_hermite_rule
         from steinforge.verify import operator_values
         op = catalog("h4").operator
         rep = verify_quadrature(op, H4, [sine(1.0)], nodes=101)
-        z, wts = gauss_hermite_rule(101).arrays()
+        z, wts = gauss_hermite_rule(101)
         direct = float(np.dot(wts, operator_values(op, sine(1.0),
                                                    H4.eval_float(z))))
         assert rep.checks[0].residual == direct
@@ -140,7 +148,8 @@ class TestQuadrature:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_node_limit_is_the_largest_buildable_rule(self):
-        assert gauss_hermite_rule(MAX_QUADRATURE_NODES).n == MAX_QUADRATURE_NODES
+        nodes, _ = gauss_hermite_rule(MAX_QUADRATURE_NODES)
+        assert nodes.size == MAX_QUADRATURE_NODES
         for _ in range(2):  # a failed build is not cached
             with pytest.raises(QuadratureValidationError):
                 gauss_hermite_rule(MAX_QUADRATURE_NODES + 1)
