@@ -82,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import _poly_power
+from .gaussian import power_table
 from .operators import DiffOperator, normalize_operator
 from .poly import Polynomial, format_rational
 from .terms import ExpectationVector, Term, term_order
@@ -191,14 +191,16 @@ def ibp_identity(k: int, j: int, P: Polynomial) -> ExpectationVector:
 
 def operator_image(op: DiffOperator, P: Polynomial) -> ExpectationVector:
     """Expand E[sum_m p_m(W) f^(m)(W)] into terms via W^d = P(Z)^d."""
+    r, powers, _ = power_table(
+        P, max((pm.degree for pm in op.coefficients), default=0))
     items: list[tuple[Term, Fraction]] = []
     for m, pm in enumerate(op.coefficients):
         for d, q in enumerate(pm.coeffs):
             if q == 0:
                 continue
-            for i, e in enumerate(_poly_power(P, d).coeffs):
+            for i, e in enumerate(powers[d]):
                 if e != 0:
-                    items.append(((i, m), q * e))
+                    items.append(((i, m), q * Fraction(e, r ** d)))
     return ExpectationVector(items)
 
 
@@ -299,17 +301,15 @@ def _reduced_columns(P: Polynomial, M: int,
     invariance (`_reduce`), column (m, d) is that sweep shifted down by
     M - m: its level 0 is level M - m as it stood just before its own
     sweep, and its level j >= 1 is the residue (z-powers below p - 1) of
-    level M - m + j. The powers of the cleared integer r*P, r the lcm of
-    P's denominators, are built in the same loop; P^d's sweep runs over the
-    scale r^d * L^E.
+    level M - m + j. The powers r^d P^d, r the lcm of P's denominators,
+    come from the integer table of `gaussian.power_table`; P^d's sweep runs
+    over the scale r^d * L^E.
     """
     a, q = _cleared_derivative(P)
     p = len(a)
-    r = math.lcm(*[c.denominator for c in P.coeffs])
-    base = [c.numerator * (r // c.denominator) for c in P.coeffs]
-    power = [1]
+    r, powers, _ = power_table(P, D)
     columns = {}
-    for d in range(D + 1):
+    for d, power in enumerate(powers):
         lift = a[-1] ** _depth_bound(p, [(p * d, M)])
         scale = r ** d * lift
         width = p * d + 1 + (M if p == 1 else 0)
@@ -325,11 +325,6 @@ def _reduced_columns(P: Polynomial, M: int,
                 _sweep_level(levels[j], levels[j - 1], a, q)
                 residues.update(((i, j), Fraction(c, scale))
                                 for i, c in enumerate(levels[j][:p - 1]) if c)
-        product = [0] * (len(power) + p)
-        for t, c in enumerate(power):
-            for s, b in enumerate(base):
-                product[t + s] += c * b
-        power = product
     return columns
 
 

@@ -39,30 +39,39 @@ def gaussian_moment(n: int) -> Fraction:
     return Fraction(math.prod(range(1, n, 2)))
 
 
-# P^0, P^1, ... by P, each power one product from the last.
-_POWERS: dict[Polynomial, list[Polynomial]] = {}
-# E[P(Z)^d] by (P, d). A module dict, not lru_cache, so the public name
-# stays a plain function.
-_MOMENTS: dict[tuple[Polynomial, int], Fraction] = {}
+# Per P: (r, powers, moments), r the lcm of P's denominators. powers[d]
+# holds the integer coefficients c_i of r^d P^d, each power one product
+# from the last, and moments[d] = E[P(Z)^d] = sum_i c_i E[Z^i] / r^d.
+_TABLES: dict[Polynomial, tuple[int, list[list[int]], list[Fraction]]] = {}
 
 
-def _poly_power(P: Polynomial, d: int) -> Polynomial:
-    powers = _POWERS.setdefault(P, [Polynomial.constant(1)])
+def power_table(P: Polynomial, d: int
+                ) -> tuple[int, list[list[int]], list[Fraction]]:
+    """(r, powers, moments) of P for degrees 0..d: the one place powers of
+    P are built. The table is cached per P and extended on demand; the
+    inner power lists are shared with it and must not be mutated."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    if P not in _TABLES:
+        _TABLES[P] = (math.lcm(*[c.denominator for c in P.coeffs]), [[1]],
+                      [Fraction(1)])
+    r, powers, moments = _TABLES[P]
+    base = [c.numerator * (r // c.denominator) for c in P.coeffs]
     while len(powers) <= d:
-        powers.append(powers[-1] * P)
-    return powers[d]
+        product = [0] * max(len(powers[-1]) + len(base) - 1, 0)
+        for t, c in enumerate(powers[-1]):
+            for s, b in enumerate(base):
+                product[t + s] += c * b
+        moments.append(Fraction(
+            sum(c * gaussian_moment(2 * j).numerator
+                for j, c in enumerate(product[::2])), r ** len(powers)))
+        powers.append(product)
+    return r, powers[:d + 1], moments[:d + 1]
 
 
 def pushforward_moment(P: Polynomial, d: int) -> Fraction:
-    """Exact E[P(Z)^d]: expand the power, take Gaussian moments termwise."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    key = (P, d)
-    if key not in _MOMENTS:
-        expanded = _poly_power(P, d)
-        _MOMENTS[key] = sum((c * gaussian_moment(i)
-                             for i, c in enumerate(expanded.coeffs)), Fraction(0))
-    return _MOMENTS[key]
+    """Exact E[P(Z)^d], from the power table."""
+    return power_table(P, d)[2][d]
 
 
 class QuadratureValidationError(RuntimeError):

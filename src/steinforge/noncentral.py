@@ -159,6 +159,26 @@ def _log_density_factor(x: np.ndarray, params: NoncentralParams) -> np.ndarray:
     return out - half_k * math.log(2.0)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _jacobi_rule(power: float) -> tuple[np.ndarray, np.ndarray]:
+    """PANEL_NODES-node Gauss-Jacobi rule on (-1, 1) for the weight
+    (1 + t)^power, as read-only arrays (nodes, weights)."""
+    from scipy.special import roots_jacobi
+    return _read_only(*roots_jacobi(PANEL_NODES, 0.0, power))
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """PANEL_NODES-node Gauss-Legendre rule on (-1, 1), read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(PANEL_NODES))
+
+
 @lru_cache(maxsize=32)
 def _density_rule(params: NoncentralParams,
                   panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,27 +186,32 @@ def _density_rule(params: NoncentralParams,
 
     `panels` equal panels of PANEL_NODES nodes each: Gauss-Jacobi with weight
     x^(k/2-1) on the first, so the endpoint power is integrated exactly, and
-    Gauss-Legendre on the rest. The arrays are cached and read-only.
+    Gauss-Legendre on the rest. The reference rules are built once per k;
+    the arrays are cached and read-only. A non-finite weight raises
+    ValueError: scipy.special.ive returns NaN for sqrt(lam x) above about
+    1e9, which lam of 1e10 reaches.
     """
-    from scipy.special import roots_jacobi
     if panels < 1:
         raise ValueError("need at least one panel")
     power = 0.5 * params.k - 1.0
     width = params.density_cutoff() / panels
-    t, wj = roots_jacobi(PANEL_NODES, 0.0, power)
+    t, wj = _jacobi_rule(power)
     first = 0.5 * width * (t + 1.0)
     first_w = wj * (0.5 * width) ** (power + 1.0) \
         * np.exp(_log_density_factor(first, params))
-    u, wl = np.polynomial.legendre.leggauss(PANEL_NODES)
+    u, wl = _legendre_rule()
     left = width * np.arange(1, panels)[:, None]
     rest = (left + 0.5 * width * (u + 1.0)).ravel()
     rest_w = np.tile(0.5 * width * wl, panels - 1) * np.exp(
         power * np.log(rest) + _log_density_factor(rest, params))
     nodes = np.concatenate([first, rest])
     weights = np.concatenate([first_w, rest_w])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(
+            f"noncentral density rule has non-finite weights at k = "
+            f"{params.k}, lambda = {params.lam}: scipy.special.ive fails "
+            f"for sqrt(lambda x) above about 1e9")
+    return _read_only(nodes, weights)
 
 
 def density_integral(params: NoncentralParams, func,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .gaussian import pushforward_moment
+from .gaussian import power_table
 from .poly import Polynomial, RationalLike, rational
 
 
@@ -147,8 +147,8 @@ def _latex_coefficient(p: Polynomial) -> tuple[str, str]:
 def expectation_applied(op: DiffOperator, P: Polynomial, f: Polynomial) -> Fraction:
     """Exact E[(A f)(W)] for W = P(Z), via pushforward moments."""
     g = op.apply(f)
-    return sum((c * pushforward_moment(P, d) for d, c in enumerate(g.coeffs)),
-               Fraction(0))
+    mus = power_table(P, max(g.degree, 0))[2]
+    return sum((c * mu for c, mu in zip(g.coeffs, mus)), Fraction(0))
 
 
 def translate_operator(op: DiffOperator, c: RationalLike) -> DiffOperator:

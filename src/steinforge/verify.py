@@ -1,6 +1,14 @@
 """Independent numerical validation of operators along three routes.
 
 Symbolic: exact annihilation on monomials through pushforward moments.
+For A = sum_m p_m(x) d^m/dx^m with p_m(x) = sum_d q_(m,d) x^d, the
+monomial x^n gives, in closed form,
+    E[(A x^n)(W)] = sum_(m <= n) n!/(n-m)! sum_d q_(m,d) mu_(d+n-m),
+with mu_k = E[P(Z)^k] the exact pushforward moments, the relation
+`operators.moment_recursion` solves. All of them come from one call to
+`gaussian.power_table`; no operator is applied to a polynomial.
+`operators.expectation_applied` is the general route for any polynomial f
+and gives the same values.
 Quadrature: Gauss-Hermite integration of (A f)(P(z)) for smooth
 non-polynomial f. Monte Carlo: seeded chunked sampling with a five
 standard-error gate, so a correct operator fails a single test with
@@ -17,17 +25,20 @@ scipy.special; scipy.integrate is not used.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
-from .gaussian import chunk_indices, chunk_normals, gauss_hermite_rule
+from .gaussian import (chunk_indices, chunk_normals, gauss_hermite_rule,
+                       power_table)
 from .noncentral import (NoncentralParams, resolved_density_integral,
                          sample_noncentral)
-from .operators import DiffOperator, expectation_applied
+from .operators import DiffOperator
 from .poly import Polynomial
-from .testfunctions import TestFunction, default_suite, monomial
+from .testfunctions import TestFunction, default_suite
 
 Target = Union[Polynomial, NoncentralParams]
 
@@ -35,6 +46,11 @@ Target = Union[Polynomial, NoncentralParams]
 # to 0 beyond z = 54.57; the outermost node is 54.56 at n = 765 and 54.60 at
 # n = 766, where the Newton polish divides 0 by 0 and validation fails.
 MAX_QUADRATURE_NODES = 765
+
+# Largest Monte Carlo sample count. On a 2-core x86_64 host the h3 route
+# draws about 1.6 million samples per second, so 1e9 samples take about ten
+# minutes; larger counts would run for hours and are refused up front.
+MAX_SAMPLES = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -68,10 +84,19 @@ class VerificationReport:
 
 def verify_symbolic(op: DiffOperator, P: Polynomial,
                     max_degree: int = 30) -> VerificationReport:
-    """Exact E[(A x^n)(W)] for n = 0..max_degree; pass only on exact zeros."""
+    """Exact E[(A x^n)(W)] for n = 0..max_degree; pass only on exact zeros.
+
+    Each residual is the closed form of the module docstring, read off one
+    table of pushforward moments.
+    """
+    terms = [(m, d, q) for m, pm in enumerate(op.coefficients)
+             for d, q in enumerate(pm.coeffs) if q]
+    top = max((d - m for m, d, _ in terms), default=0)
+    mus = power_table(P, max(max_degree + top, 0))[2]
     checks = []
     for n in range(max_degree + 1):
-        residual = expectation_applied(op, P, Polynomial.monomial(n))
+        residual = sum((math.perm(n, m) * q * mus[d + n - m]
+                        for m, d, q in terms if m <= n), Fraction(0))
         checks.append(CheckResult(
             name=f"monomial({n})", residual=float(residual), tolerance=0.0,
             passed=(residual == 0), params={"degree": n}))
@@ -133,6 +158,8 @@ def verify_monte_carlo(op: DiffOperator, target: Target,
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES:.0e} Monte Carlo samples")
     suite = tuple(suite) or default_suite()
     if isinstance(target, Polynomial):
         draws = (target.eval_float(chunk_normals(seed, idx, samples))

@@ -306,3 +306,34 @@ def test_noncentral_large_lambda_verifies(capsys):
     assert code == 0 and payload["pass"] is True
     assert all(t["params"]["resolved"] for t in
                payload["density_checks"]["operator_report"]["tests"])
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_noncentral_lambda_beyond_bessel_range_is_a_usage_error(k, capsys):
+    # scipy.special.ive is NaN above z ~ 1.08e9: the density rule refuses
+    # rather than printing bare NaN
+    code = main(["noncentral", "--k", k, "--lambda", "1e10", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert "lambda = 10000000000.0" in captured.err
+
+
+def test_noncentral_lambda_1e9_fails_with_valid_json(capsys):
+    # the weights are finite here, but the rule does not resolve every leg
+    code = main(["noncentral", "--k", "2", "--lambda", "1e9", "--verify"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 1 and payload["pass"] is False
+
+
+def test_samples_above_bound_are_a_usage_error(capsys):
+    code = main(["verify", "--catalog", "h3", "--methods", "mc",
+                 "--samples", str(10 ** 9 + 1)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert "at most" in captured.err

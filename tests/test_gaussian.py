@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinforge.gaussian import (QuadratureValidationError, _poly_power,
-                                 chunk_indices, chunk_normals, gauss_hermite_rule,
-                                 gaussian_moment, hermite, pushforward_moment)
+from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
+                                 chunk_normals, gauss_hermite_rule, gaussian_moment,
+                                 hermite, power_table, pushforward_moment)
 from steinforge.poly import Polynomial
 from test_derivation import rational_polys
 
@@ -53,18 +53,37 @@ def test_pushforward_orthogonality_factorial():
 @settings(deadline=None, max_examples=30)
 @given(rational_polys(), st.lists(st.integers(0, 40), min_size=1, max_size=4))
 def test_powers_and_moments_match_composition(P, ds):
-    # cached powers, asked for in any order, equal x^d composed with P, and
-    # the cached moment equals that expansion summed against E[Z^i]
+    # the table's integer powers, asked for in any order, equal r^d times
+    # x^d composed with P, and each moment equals that expansion summed
+    # against E[Z^i]
     for d in ds:
         reference = Polynomial.monomial(d).compose(P)
-        assert _poly_power(P, d) == reference
-        assert pushforward_moment(P, d) == sum(
-            (c * gaussian_moment(i) for i, c in enumerate(reference.coeffs)),
-            Fraction(0))
+        r, powers, moments = power_table(P, d)
+        assert len(powers) == len(moments) == d + 1
+        assert r == math.lcm(*[c.denominator for c in P.coeffs])
+        assert all(isinstance(c, int) for c in powers[d])
+        assert Polynomial(powers[d]) == reference * r ** d
+        expected = sum((c * gaussian_moment(i) for i, c in enumerate(reference.coeffs)),
+                       Fraction(0))
+        assert moments[d] == pushforward_moment(P, d) == expected
 
 
 def test_power_beyond_recursion_limit():
-    assert _poly_power(Polynomial.constant(2), 5000) == Polynomial.constant(2 ** 5000)
+    r, powers, moments = power_table(Polynomial.constant(2), 5000)
+    assert r == 1 and powers[5000] == [2 ** 5000] and moments[5000] == 2 ** 5000
+
+
+def test_power_table_of_zero_and_of_a_rational_constant():
+    assert power_table(Polynomial.zero(), 3) == (1, [[1], [], [], []], [1, 0, 0, 0])
+    assert power_table(Polynomial.constant(Fraction(1, 2)), 2) == (
+        2, [[1], [1], [1]], [1, Fraction(1, 2), Fraction(1, 4)])
+
+
+def test_power_table_refuses_negative_degrees():
+    with pytest.raises(ValueError):
+        power_table(hermite(3), -1)
+    with pytest.raises(ValueError):
+        pushforward_moment(hermite(3), -1)
 
 
 def test_hermite_orthogonality():

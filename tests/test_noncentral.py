@@ -212,6 +212,52 @@ class TestOperatorChecks:
         assert all(c.params["resolved"] for c in report.checks)
 
 
+class TestRuleCache:
+    @pytest.mark.parametrize("k,lam,panels", [(1.0, 2.0, 32), (2.5, 1.0, 64),
+                                              (2.0, 0.0, 1), (10.0, 200.0, 128)])
+    def test_density_rule_matches_fresh_reference_rules(self, k, lam, panels,
+                                                        monkeypatch):
+        # the cached per-k reference rules give the bits that fresh
+        # roots_jacobi and leggauss calls give
+        params = NoncentralParams(k=k, lam=lam)
+        cached = _density_rule(params, panels)
+        monkeypatch.setattr(noncentral, "_jacobi_rule", lambda power:
+                            special.roots_jacobi(noncentral.PANEL_NODES, 0.0, power))
+        monkeypatch.setattr(noncentral, "_legendre_rule", lambda:
+                            np.polynomial.legendre.leggauss(noncentral.PANEL_NODES))
+        fresh = _density_rule.__wrapped__(params, panels)
+        for got, want in zip(cached, fresh):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_reference_rules_refuse_writes(self):
+        arrays = (*noncentral._jacobi_rule(0.25), *noncentral._legendre_rule(),
+                  *_density_rule(NoncentralParams(k=2.5, lam=1.0), 32))
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_reference_rules_built_once_per_k(self, monkeypatch):
+        _density_rule.cache_clear()
+        noncentral._jacobi_rule.cache_clear()
+        noncentral._legendre_rule.cache_clear()
+        built = []
+        original = special.roots_jacobi
+        monkeypatch.setattr(special, "roots_jacobi",
+                            lambda *a: built.append(a) or original(*a))
+        for lam in (0.5, 1.5):
+            for panels in (8, 16):
+                _density_rule(NoncentralParams(k=3.0, lam=lam), panels)
+        assert built == [(noncentral.PANEL_NODES, 0.0, 0.5)]
+        assert noncentral._legendre_rule.cache_info().misses == 1
+
+    @pytest.mark.parametrize("k", [2.0, 3.0])
+    def test_non_finite_weights_raise(self, k):
+        # scipy.special.ive returns NaN above z ~ 1.08e9, which lambda = 1e10
+        # reaches inside the cutoff
+        with pytest.raises(ValueError, match="lambda = 10000000000.0"):
+            _density_rule(NoncentralParams(k=k, lam=1e10), 64)
+
+
 def _mpmath_residual(k: float, lam: float, name: str, cutoff: float) -> float:
     """E[(A f)(X) 1{X < cutoff}] for the catalog operator, by 30-digit mpmath."""
     import mpmath

@@ -2,21 +2,25 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinforge.catalog import catalog
-from steinforge import gaussian
+from steinforge import gaussian, noncentral, verify
 from steinforge.cli import main
 from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
                                  gauss_hermite_rule, hermite)
 from steinforge.noncentral import NoncentralParams, resolved_density_integral
-from steinforge.operators import DiffOperator
+from steinforge.operators import DiffOperator, expectation_applied
 from steinforge.poly import Polynomial
 from steinforge.testfunctions import (cosine, default_suite, gaussian_bump,
                                       monomial, sine)
-from steinforge.verify import (MAX_QUADRATURE_NODES, mutation_controls,
+from steinforge.verify import (MAX_QUADRATURE_NODES, MAX_SAMPLES, CheckResult,
+                               VerificationReport, mutation_controls,
                                verify_monte_carlo, verify_quadrature,
                                verify_symbolic)
 
@@ -61,6 +65,87 @@ class TestSymbolic:
         failing = {c.params["degree"]: c.residual for c in report.checks
                    if not c.passed}
         assert abs(failing[1]) == 2
+
+
+def applied_report(op, P, max_degree=30):
+    """verify_symbolic's report through the general route: apply the
+    operator to each monomial, then take pushforward moments."""
+    checks = []
+    for n in range(max_degree + 1):
+        residual = expectation_applied(op, P, Polynomial.monomial(n))
+        checks.append(CheckResult(
+            name=f"monomial({n})", residual=float(residual), tolerance=0.0,
+            passed=(residual == 0), params={"degree": n}))
+    return VerificationReport(method="symbolic", checks=tuple(checks))
+
+
+_COEFF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def pushforwards(draw):
+    """P of degree 0-4 with small rational coefficients, constants included."""
+    degree = draw(st.integers(0, 4))
+    lead = draw(_COEFF.filter(lambda c: c != 0))
+    return Polynomial([draw(_COEFF) for _ in range(degree)] + [lead])
+
+
+@st.composite
+def operators(draw):
+    """Nonzero operators of order 0-5 with coefficients of degree up to 3."""
+    order = draw(st.integers(0, 5))
+    rows = [draw(st.lists(_COEFF, max_size=4)) for _ in range(order)]
+    rows.append(draw(st.lists(_COEFF, max_size=3))
+                + [draw(_COEFF.filter(lambda c: c != 0))])
+    return DiffOperator.from_rows(rows)
+
+
+class TestSymbolicClosedForm:
+    @settings(deadline=None, max_examples=60)
+    @given(operators(), pushforwards(), st.integers(0, 30))
+    def test_matches_applied_route(self, op, P, max_degree):
+        assert verify_symbolic(op, P, max_degree) == applied_report(op, P, max_degree)
+
+    @pytest.mark.parametrize("key", ["normal", "centered-chi2", "h3", "h4",
+                                     "quadratic"])
+    def test_catalog_matches_applied_route(self, key):
+        entry = catalog(key)
+        report = verify_symbolic(entry.operator, entry.pushforward)
+        assert report.passed
+        assert report == applied_report(entry.operator, entry.pushforward)
+
+    def test_one_wrong_moment_fails_h3(self, monkeypatch):
+        # negative control: the residuals are read from the moment table, so
+        # one corrupted moment must show
+        original = verify.power_table
+
+        def corrupted(P, d):
+            r, powers, mus = original(P, d)
+            mus[6] += 1
+            return r, powers, mus
+
+        monkeypatch.setattr(verify, "power_table", corrupted)
+        assert not verify_symbolic(catalog("h3").operator, H3).passed
+
+    @pytest.mark.parametrize("key", ["h3", "h4"])
+    def test_mutant_fails_at_first_degree_it_reaches(self, key):
+        # a +1 on q_(m,d) adds n!/(n-m)! mu_(d+n-m) to residual n: zero below
+        # n = m, and below the first n >= m whose moment is nonzero
+        entry = catalog(key)
+        P = entry.pushforward
+        rows = [list(p.coeffs) for p in entry.operator.coefficients]
+        for m, row in enumerate(rows):
+            for d in range(len(row)):
+                bumped = [list(r) for r in rows]
+                bumped[m][d] += 1
+                report = verify_symbolic(DiffOperator.from_rows(bumped), P)
+                first = next(n for n in range(m, 31)
+                             if gaussian.pushforward_moment(P, d + n - m))
+                assert all(c.passed for c in report.checks[:first]), (m, d)
+                check = report.checks[first]
+                assert not check.passed, (m, d)
+                assert check.residual == float(
+                    math.perm(first, m) * gaussian.pushforward_moment(P, d + first - m))
 
 
 class TestTargetExpectation:
@@ -206,6 +291,18 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             verify_monte_carlo(catalog("h4").operator, H4, [sine(1.0)],
                                samples=100, seed=0)
+
+    def test_maximum_samples_refused_before_any_draw(self, monkeypatch):
+        def refuse(seed, index):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(gaussian, "_normal_chunk", refuse)
+        monkeypatch.setattr(noncentral, "_normal_chunk", refuse)
+        assert MAX_SAMPLES == 10 ** 9
+        for target in (H3, NoncentralParams(2, 1)):
+            with pytest.raises(ValueError, match="at most"):
+                verify_monte_carlo(catalog("h3").operator, target, [sine(1.0)],
+                                   samples=MAX_SAMPLES + 1, seed=0)
 
 
 def test_mutation_controls_all_detected():
