@@ -1,14 +1,15 @@
 """steinforge: exact derivation and verification of polynomial-coefficient
 Stein operators for random variables W = P(Z), Z standard Gaussian."""
 
-from .poly import Polynomial, Rational, format_rational, parse_rational, rational
+from .poly import Polynomial, format_terms, rational
 from .gaussian import gauss_hermite_rule, gaussian_moment, hermite, pushforward_moment
 from .terms import ExpectationVector, Term
 from .operators import (DiffOperator, expectation_applied, moment_recursion,
-                        normalize_operator, proportional_eq, translate_operator)
+                        moment_relation, normalize_operator, proportional_eq,
+                        translate_operator)
 from .derivation import (Certificate, DerivationResult, SearchBounds,
-                         derive_operator, ibp_identity, leading_coefficient_report,
-                         minimal_scan, operator_image, verify_certificate)
+                         derive_operator, ibp_identity, minimal_scan,
+                         operator_image, verify_certificate)
 from .catalog import (CatalogEntry, catalog, catalog_keys, noncentral_chi2_operator,
                       quadratic_operator, verify_table1_extrema)
 from .testfunctions import (TestFunction, cosine, default_suite, gaussian_bump,

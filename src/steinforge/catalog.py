@@ -88,34 +88,6 @@ class CatalogEntry:
         }
 
 
-def _normal_operator() -> DiffOperator:
-    return DiffOperator.from_rows([[0, -1], [1]])  # f' - x f
-
-
-def _centered_chi2_operator() -> DiffOperator:
-    return DiffOperator.from_rows([[0, -1], [2, 2]])  # 2(1+x) f' - x f
-
-
-def _cubic_hermite_operator() -> DiffOperator:
-    return DiffOperator.from_rows([
-        [0, -1],            # -x f
-        [6],                # 6 f'
-        [0, 99],            # 99x f''
-        [-216, 0, 27],      # -27(8 - x^2) f'''
-        [0, -486],          # -486x f''''
-        [1944, 0, -486],    # 486(4 - x^2) f'''''
-    ])
-
-
-def _quartic_hermite_operator() -> DiffOperator:
-    return DiffOperator.from_rows([
-        [0, -1],                 # -x f
-        [24, 44],                # 4(11x + 6) f'
-        [-576, -144, 16],        # 16(x+3)(x-12) f''
-        [3456, -576, -192],      # 192(x+6)(3-x) f'''
-    ])
-
-
 def quadratic_operator(a: RationalLike, b: RationalLike,
                        c: RationalLike) -> DiffOperator:
     """Second-order operator annihilating a Z^2 + b Z + c."""
@@ -139,10 +111,36 @@ def noncentral_chi2_operator(k: RationalLike, lam: RationalLike) -> DiffOperator
     return DiffOperator((p0, p1, p2))
 
 
-_H3_LATEX = ("486(4-x^2)f^{(5)}(x)-486xf^{(4)}(x)-27(8-x^2)f^{(3)}(x)"
-             "+99xf''(x)+6f'(x)-xf(x)")
-_H4_LATEX = ("192(x+6)(3-x)f^{(3)}(x)+16(x+3)(x-12)f''(x)"
-             "+4(11x+6)f'(x)-xf(x)")
+# Table 1 rows 1-4: the operator of He_n(Z), coefficient rows lowest order first.
+_OPERATORS = {
+    1: DiffOperator.from_rows([[0, -1], [1]]),          # f' - x f
+    2: DiffOperator.from_rows([[0, -1], [2, 2]]),       # 2(1+x) f' - x f
+    3: DiffOperator.from_rows([
+        [0, -1],            # -x f
+        [6],                # 6 f'
+        [0, 99],            # 99x f''
+        [-216, 0, 27],      # -27(8 - x^2) f'''
+        [0, -486],          # -486x f''''
+        [1944, 0, -486],    # 486(4 - x^2) f'''''
+    ]),
+    4: DiffOperator.from_rows([
+        [0, -1],                 # -x f
+        [24, 44],                # 4(11x + 6) f'
+        [-576, -144, 16],        # 16(x+3)(x-12) f''
+        [3456, -576, -192],      # 192(x+6)(3-x) f'''
+    ]),
+}
+
+# Named keys of Table 1 rows: (row, label, with extrema, display LaTeX).
+_NAMED = {
+    "normal": (1, "standard normal", False, "f'(x)-xf(x)"),
+    "centered-chi2": (2, "centered chi-square", False, "2(1+x)f'(x)-xf(x)"),
+    "h3": (3, "cubic Hermite pushforward", True,
+           "486(4-x^2)f^{(5)}(x)-486xf^{(4)}(x)-27(8-x^2)f^{(3)}(x)"
+           "+99xf''(x)+6f'(x)-xf(x)"),
+    "h4": (4, "quartic Hermite pushforward", True,
+           "192(x+6)(3-x)f^{(3)}(x)+16(x+3)(x-12)f''(x)+4(11x+6)f'(x)-xf(x)"),
+}
 
 _LEADING = {
     1: Polynomial([1]),
@@ -179,13 +177,9 @@ _EXTREMA = {
                 RadicalValue.exact(-15))),
 }
 
-_TABLE_OPERATORS = {1: _normal_operator, 2: _centered_chi2_operator,
-                    3: _cubic_hermite_operator, 4: _quartic_hermite_operator}
-
-
 def catalog_keys() -> list[str]:
-    return ["normal", "centered-chi2", "h3", "h4", "quadratic",
-            "noncentral-chi2"] + [f"table1({n})" for n in range(1, 7)]
+    return [*_NAMED, "quadratic", "noncentral-chi2",
+            *(f"table1({n})" for n in range(1, 7))]
 
 
 def catalog(key: str, **params) -> CatalogEntry:
@@ -195,28 +189,12 @@ def catalog(key: str, **params) -> CatalogEntry:
     keyword arguments; table1(n) may be written either as key "table1(3)"
     or as key "table1" with n=3.
     """
-    if key == "normal":
+    if key in _NAMED:
+        n, label, with_extrema, display = _NAMED[key]
         return CatalogEntry(
-            key=key, label="standard normal", operator=_normal_operator(),
-            pushforward=Polynomial.x(), leading_coefficient=_LEADING[1],
-            extrema=None, display_latex="f'(x)-xf(x)")
-    if key == "centered-chi2":
-        return CatalogEntry(
-            key=key, label="centered chi-square", operator=_centered_chi2_operator(),
-            pushforward=Polynomial([-1, 0, 1]), leading_coefficient=_LEADING[2],
-            extrema=None, display_latex="2(1+x)f'(x)-xf(x)")
-    if key == "h3":
-        return CatalogEntry(
-            key=key, label="cubic Hermite pushforward",
-            operator=_cubic_hermite_operator(), pushforward=hermite(3),
-            leading_coefficient=_LEADING[3], extrema=_EXTREMA[3],
-            display_latex=_H3_LATEX)
-    if key == "h4":
-        return CatalogEntry(
-            key=key, label="quartic Hermite pushforward",
-            operator=_quartic_hermite_operator(), pushforward=hermite(4),
-            leading_coefficient=_LEADING[4], extrema=_EXTREMA[4],
-            display_latex=_H4_LATEX)
+            key=key, label=label, operator=_OPERATORS[n], pushforward=hermite(n),
+            leading_coefficient=_LEADING[n],
+            extrema=_EXTREMA[n] if with_extrema else None, display_latex=display)
     if key == "quadratic":
         a = rational(params.get("a", 1))
         b = rational(params.get("b", 0))
@@ -244,7 +222,7 @@ def catalog(key: str, **params) -> CatalogEntry:
             n = int(inner)
         if not 1 <= n <= 6:
             raise ValueError("table rows cover n = 1..6")
-        op = _TABLE_OPERATORS[n]() if n in _TABLE_OPERATORS else None
+        op = _OPERATORS.get(n)
         return CatalogEntry(
             key=f"table1({n})", label=f"leading-coefficient table row {n}",
             operator=op, pushforward=hermite(n) if op is not None else None,

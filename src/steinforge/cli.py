@@ -18,11 +18,10 @@ from functools import lru_cache
 from typing import Optional
 
 from .catalog import catalog, catalog_keys, noncentral_chi2_operator
-from .derivation import (DerivationError, derive_operator,
-                         leading_coefficient_report, minimal_scan)
+from .derivation import DerivationError, derive_operator, minimal_scan
 from .gaussian import hermite
 from .noncentral import NoncentralParams, resolved_density_integral
-from .operators import DiffOperator
+from .operators import DiffOperator, proportional_eq
 from .poly import Polynomial
 from .testfunctions import default_suite
 from .verify import verify_all, verify_noncentral_operator
@@ -230,8 +229,12 @@ def _cmd_verify(args) -> int:
     else:
         if not args.operator:
             raise UsageError("either --catalog or --operator is required")
-        with open(args.operator) as fh:
-            op = DiffOperator.from_dict(json.load(fh))
+        try:
+            with open(args.operator) as fh:
+                op = DiffOperator.from_dict(json.load(fh))
+        except (OSError, ValueError, LookupError, TypeError, ArithmeticError) as exc:
+            raise UsageError(f"cannot read an operator from {args.operator}: "
+                             f"{exc!r}") from None
         P = _poly_from_args(args)
     if P is None:
         raise UsageError("this entry has no polynomial pushforward to verify against")
@@ -277,14 +280,15 @@ def _cmd_conjecture(args) -> int:
                                              "max_degree", "format"]),
                "conjectured_leading": conjectured.to_strings(),
                "scan": scan.to_dict()}
-    if scan.result is not None:
-        report = leading_coefficient_report(scan.result, conjectured)
-        payload["leading_comparison"] = report.to_dict()
-        lead = scan.result.operator.coefficients[-1]
+    payload["leading_comparison"] = payload["conjecture_divides_leading"] = None
+    lead = scan.leading_coefficient
+    if lead is not None:
+        proportional, ratio = proportional_eq(DiffOperator.single(0, lead),
+                                              DiffOperator.single(0, conjectured))
+        payload["leading_comparison"] = {
+            "proportional": proportional,
+            "ratio": None if ratio is None else str(ratio)}
         payload["conjecture_divides_leading"] = conjectured.divides(lead)
-    else:
-        payload["leading_comparison"] = None
-        payload["conjecture_divides_leading"] = None
     threshold = row.threshold_order
     found_below = [
         [m, d] for (m, d), status in scan.grid.items()
@@ -300,8 +304,7 @@ def _cmd_noncentral(args) -> int:
     params = NoncentralParams(k=args.k, lam=getattr(args, "lambda"))
     op = noncentral_chi2_operator(args.k, getattr(args, "lambda"))
     payload = {"command": "noncentral",
-               "config": {"k": args.k, "lambda": getattr(args, "lambda"),
-                          "verify": args.verify, "format": args.format},
+               "config": _config_echo(args, ["k", "lambda", "verify", "format"]),
                "operator": op.to_dict(),
                "mean": params.mean, "variance": params.variance}
     ok = True

@@ -84,7 +84,7 @@ import numpy as np
 
 from .gaussian import power_table
 from .operators import DiffOperator, normalize_operator
-from .poly import Polynomial, format_rational
+from .poly import Polynomial
 from .terms import ExpectationVector, Term, term_order
 
 
@@ -134,7 +134,7 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return {"multipliers": [
-            {"k": k, "j": j, "value": format_rational(v)}
+            {"k": k, "j": j, "value": str(v)}
             for (k, j), v in sorted(self.multipliers.items())
         ]}
 
@@ -694,29 +694,3 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     return ScanResult(poly=P, max_order=max_order,
                       max_coeff_degree=max_coeff_degree,
                       grid=grid, minimal=minimal, result=result)
-
-
-@dataclass(frozen=True)
-class LeadingCoefficientReport:
-    proportional: bool
-    ratio: Optional[Fraction]
-
-    def to_dict(self) -> dict:
-        return {"proportional": self.proportional,
-                "ratio": format_rational(self.ratio) if self.ratio is not None else None}
-
-
-def leading_coefficient_report(result: DerivationResult,
-                               conjecture: Polynomial) -> LeadingCoefficientReport:
-    """Is the found operator's top coefficient a rational multiple of `conjecture`?"""
-    if result.operator is None:
-        raise DerivationError("no operator in result")
-    if conjecture.is_zero:
-        raise DerivationError("conjecture polynomial must be nonzero")
-    lead = result.operator.coefficients[-1]
-    if lead.degree != conjecture.degree:
-        return LeadingCoefficientReport(False, None)
-    ratio = lead.leading_coefficient / conjecture.leading_coefficient
-    if conjecture * ratio == lead:
-        return LeadingCoefficientReport(True, ratio)
-    return LeadingCoefficientReport(False, None)

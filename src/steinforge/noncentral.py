@@ -187,18 +187,25 @@ def _density_rule(params: NoncentralParams,
     `panels` equal panels of PANEL_NODES nodes each: Gauss-Jacobi with weight
     x^(k/2-1) on the first, so the endpoint power is integrated exactly, and
     Gauss-Legendre on the rest. The reference rules are built once per k;
-    the arrays are cached and read-only. A non-finite weight raises
-    ValueError: scipy.special.ive returns NaN for sqrt(lam x) above about
-    1e9, which lam of 1e10 reaches.
+    the arrays are cached and read-only. ValueError marks a rule that does not
+    build in float64: the first panel's weights overflow at large k (400 at
+    lam = 1), and scipy.special.ive is NaN for sqrt(lam x) above about 1e9.
     """
     if panels < 1:
         raise ValueError("need at least one panel")
     power = 0.5 * params.k - 1.0
     width = params.density_cutoff() / panels
-    t, wj = _jacobi_rule(power)
+    try:
+        with np.errstate(over="raise"):
+            t, wj = _jacobi_rule(power)
+            first_w = wj * (0.5 * width) ** (power + 1.0)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"noncentral density rule does not build in float64 at k = "
+            f"{params.k}, lambda = {params.lam}: the first panel's Gauss-Jacobi "
+            f"weights, scaled by its half-width to the power k/2, overflow") from None
     first = 0.5 * width * (t + 1.0)
-    first_w = wj * (0.5 * width) ** (power + 1.0) \
-        * np.exp(_log_density_factor(first, params))
+    first_w = first_w * np.exp(_log_density_factor(first, params))
     u, wl = _legendre_rule()
     left = width * np.arange(1, panels)[:, None]
     rest = (left + 0.5 * width * (u + 1.0)).ravel()

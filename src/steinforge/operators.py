@@ -4,8 +4,8 @@ An operator A acts on test functions as
     (A f)(x) = sum_m p_m(x) f^(m)(x),
 with each p_m an exact rational polynomial. Besides application and exact
 expectations for W = P(Z), this module provides translation, normalization
-and proportionality comparison, and the moment recursion obtained by
-feeding monomials into E[(A f)(W)] = 0.
+and proportionality comparison, the moment relation that feeding x^n into
+E[(A f)(W)] gives, and the recursion that solves it.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .gaussian import power_table
-from .poly import Polynomial, RationalLike, rational
+from .poly import Polynomial, RationalLike, format_terms, rational
 
 
 @dataclass(frozen=True)
@@ -94,54 +94,24 @@ class DiffOperator:
                          for row in data["coefficients"]))
 
     def latex(self) -> str:
-        """Highest derivative first, in the style 'p_M(x)f^{(M)}(x) + ...'."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
+        """Highest derivative first, in the style 'p_M(x)f^{(M)}(x) + ...'.
+
+        A one-term coefficient is inlined, so a unit constant leaves the bare
+        f-part; a longer one is parenthesized.
+        """
+        rows = []
         for m in range(self.order, -1, -1):
-            pm = self.coefficients[m]
-            if pm.is_zero:
-                continue
+            terms = self.coefficients[m].terms(
+                lambda d: "" if d == 0 else ("x" if d == 1 else f"x^{{{d}}}"))
+            if len(terms) > 1:
+                terms = [(1, f"({format_terms(terms)})")]
             fpart = "f(x)" if m == 0 else ("f'(x)" if m == 1 else
                                            ("f''(x)" if m == 2 else f"f^{{({m})}}(x)"))
-            body, sign = _latex_coefficient(pm)
-            parts.append((sign, body + fpart))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+            rows += [(c, xs + fpart) for c, xs in terms]
+        return format_terms(rows)
 
     def __str__(self) -> str:
         return self.latex()
-
-
-def _latex_coefficient(p: Polynomial) -> tuple[str, str]:
-    """Render a coefficient polynomial for the emitter; returns (body, sign)."""
-    if p.degree == 0 or (p.degree >= 1 and sum(1 for c in p.coeffs if c != 0) == 1):
-        # monomial: inline it
-        d = p.degree
-        c = p.coeffs[d]
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        xs = "" if d == 0 else ("x" if d == 1 else f"x^{{{d}}}")
-        if mag == 1:
-            return xs, sign  # unit constants render as the bare f-part
-        return f"{mag}{xs}", sign
-    # general polynomial: parenthesized, descending powers
-    terms = []
-    for d in range(p.degree, -1, -1):
-        c = p.coeffs[d]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        xs = "" if d == 0 else ("x" if d == 1 else f"x^{{{d}}}")
-        body = xs if (mag == 1 and d > 0) else f"{mag}{xs}"
-        terms.append((sign, body))
-    inner = ("-" if terms[0][0] == "-" else "") + terms[0][1]
-    for sign, body in terms[1:]:
-        inner += sign + body
-    return f"({inner})", "+"
 
 
 def expectation_applied(op: DiffOperator, P: Polynomial, f: Polynomial) -> Fraction:
@@ -206,13 +176,30 @@ class InsufficientSeeds(ValueError):
     pass
 
 
+def moment_relation(op: DiffOperator, n: int) -> list[tuple[int, Fraction]]:
+    """The pairs (i, c) with E[(A x^n)(W)] = sum c E[W^i], for any W.
+
+    They are the nonzero coefficients of A x^n, by increasing i: the term
+    q_(m,d) x^d of p_m contributes n!/(n-m)! q_(m,d) at i = d + n - m, and
+    orders m > n contribute nothing.
+    """
+    acc: dict[int, Fraction] = {}
+    for m, pm in enumerate(op.coefficients[: n + 1]):
+        fall = math.perm(n, m)
+        for d, q in enumerate(pm.coeffs):
+            if q:
+                i = d + n - m
+                acc[i] = acc[i] + fall * q if i in acc else fall * q
+    return sorted((i, c) for i, c in acc.items() if c)
+
+
 def moment_recursion(op: DiffOperator, seed_moments: Sequence[RationalLike],
                      n: int) -> list[Fraction]:
     """Moments mu_0..mu_n of any W with E[(A f)(W)] = 0 for all polynomials f.
 
-    Feeding f = x^k turns the expectation into a linear relation among
-    moments; the order-0 coefficient must contribute a strictly dominant
-    top-degree term so each relation determines exactly one new moment.
+    `moment_relation` at k is a linear relation among moments; the order-0
+    coefficient must contribute a strictly dominant top-degree term, at
+    index k + deg p_0, so each relation determines exactly one new moment.
     """
     if op.is_zero:
         raise RecursionNotClosed("zero operator yields no relations")
@@ -221,41 +208,23 @@ def moment_recursion(op: DiffOperator, seed_moments: Sequence[RationalLike],
         raise RecursionNotClosed("order-0 coefficient is zero")
     d0 = p0.degree
     top = p0.coeffs[d0]
-    for m, pm in enumerate(op.coefficients):
-        if m == 0:
-            continue
+    for m, pm in enumerate(op.coefficients[1:], 1):
         for d, q in enumerate(pm.coeffs):
-            if q != 0 and d - m >= d0:
+            if q and d - m >= d0:
                 raise RecursionNotClosed(
                     f"coefficient at order {m}, degree {d} reaches the top term")
     seeds = [rational(s) for s in seed_moments]
     if len(seeds) < d0:
         raise InsufficientSeeds(f"need at least {d0} seed moments")
     mus: list[Fraction] = list(seeds)
-    k = 0
-    while True:
-        t = k + d0
-        if t > n:
-            break
-        total = Fraction(0)
-        for m, pm in enumerate(op.coefficients):
-            if m > k:
-                continue
-            fall = Fraction(math.prod(range(k - m + 1, k + 1)))
-            for d, q in enumerate(pm.coeffs):
-                if q == 0 or (m == 0 and d == d0):
-                    continue
-                idx = d + k - m
-                if idx >= len(mus):
-                    raise InsufficientSeeds(
-                        f"moment {idx} needed before it is determined")
-                total += q * fall * mus[idx]
-        value = -total / top
+    for k in range(n - d0 + 1):
+        t = k + d0  # mus holds mu_0..mu_(t-1), and every other index is below t
+        value = -sum((c * mus[i] for i, c in moment_relation(op, k) if i < t),
+                     Fraction(0)) / top
         if t < len(mus):
             if mus[t] != value:
                 raise ValueError(
                     f"seed moment {t} contradicts the operator relations")
         else:
             mus.append(value)
-        k += 1
     return mus[: n + 1]

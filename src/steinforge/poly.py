@@ -7,9 +7,7 @@ throughout and every operation returns a trimmed canonical form.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
+from typing import Callable, Iterable, Sequence, Union
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -27,13 +25,25 @@ def rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    return str(q)
+def format_terms(terms: Iterable[tuple[Fraction, str]], sep: str = "") -> str:
+    """Signed sum of (coefficient, factor) terms in the order given.
 
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    Zero terms are skipped, a unit magnitude is dropped before a nonempty
+    factor, a leading "+" is dropped and `sep` surrounds every later sign;
+    no terms read "0". With sep " ", (3, "x^2"), (-1, "x"), (1, "") reads
+    "3x^2 - x + 1".
+    """
+    text = ""
+    for c, factor in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = factor if mag == 1 and factor else f"{mag}{factor}"
+        if text:
+            text += f"{sep}{'-' if c < 0 else '+'}{sep}{body}"
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
 
 
 class Polynomial:
@@ -229,33 +239,20 @@ class Polynomial:
 
     def to_strings(self) -> list[str]:
         """JSON form: array of "p/q" strings, lowest degree first."""
-        return [format_rational(c) for c in self._coeffs]
+        return [str(c) for c in self._coeffs]
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
         return cls(Fraction(s) for s in items)
 
+    def terms(self, power: Callable[[int], str]) -> list[tuple[Fraction, str]]:
+        """(coefficient, power(d)) per nonzero coefficient, highest degree first."""
+        return [(self._coeffs[d], power(d)) for d in range(self.degree, -1, -1)
+                if self._coeffs[d]]
+
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for d in range(self.degree, -1, -1):
-            c = self._coeffs[d]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                xs = "x" if d == 1 else f"x^{d}"
-                body = xs if mag == 1 else f"{mag}{xs}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return format_terms(self.terms(
+            lambda d: "" if d == 0 else ("x" if d == 1 else f"x^{d}")), " ")
 
     def __repr__(self) -> str:
         return f"Polynomial({self!s})"

@@ -4,9 +4,10 @@ Symbolic: exact annihilation on monomials through pushforward moments.
 For A = sum_m p_m(x) d^m/dx^m with p_m(x) = sum_d q_(m,d) x^d, the
 monomial x^n gives, in closed form,
     E[(A x^n)(W)] = sum_(m <= n) n!/(n-m)! sum_d q_(m,d) mu_(d+n-m),
-with mu_k = E[P(Z)^k] the exact pushforward moments, the relation
-`operators.moment_recursion` solves. All of them come from one call to
-`gaussian.power_table`; no operator is applied to a polynomial.
+with mu_k = E[P(Z)^k] the exact pushforward moments: the pairs of
+`operators.moment_relation`, which `operators.moment_recursion` solves.
+All moments come from one call to `gaussian.power_table`; no operator is
+applied to a polynomial.
 `operators.expectation_applied` is the general route for any polynomial f
 and gives the same values.
 Quadrature: Gauss-Hermite integration of (A f)(P(z)) for smooth
@@ -25,7 +26,6 @@ scipy.special; scipy.integrate is not used.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -36,7 +36,7 @@ from .gaussian import (chunk_indices, chunk_normals, gauss_hermite_rule,
                        power_table)
 from .noncentral import (NoncentralParams, resolved_density_integral,
                          sample_noncentral)
-from .operators import DiffOperator
+from .operators import DiffOperator, moment_relation
 from .poly import Polynomial
 from .testfunctions import TestFunction, default_suite
 
@@ -89,14 +89,11 @@ def verify_symbolic(op: DiffOperator, P: Polynomial,
     Each residual is the closed form of the module docstring, read off one
     table of pushforward moments.
     """
-    terms = [(m, d, q) for m, pm in enumerate(op.coefficients)
-             for d, q in enumerate(pm.coeffs) if q]
-    top = max((d - m for m, d, _ in terms), default=0)
-    mus = power_table(P, max(max_degree + top, 0))[2]
+    relations = [moment_relation(op, n) for n in range(max_degree + 1)]
+    mus = power_table(P, max((i for rel in relations for i, _ in rel), default=0))[2]
     checks = []
-    for n in range(max_degree + 1):
-        residual = sum((math.perm(n, m) * q * mus[d + n - m]
-                        for m, d, q in terms if m <= n), Fraction(0))
+    for n, relation in enumerate(relations):
+        residual = sum((c * mus[i] for i, c in relation), Fraction(0))
         checks.append(CheckResult(
             name=f"monomial({n})", residual=float(residual), tolerance=0.0,
             passed=(residual == 0), params={"degree": n}))
@@ -193,11 +190,14 @@ def verify_all(op: DiffOperator, P: Polynomial,
                samples: int = 1_000_000, seed: int = 0) -> list[VerificationReport]:
     """Run the requested verification routes against one operator.
 
-    The zero operator annihilates every f, so a pass for it would certify
-    nothing; it is refused before any route runs.
+    The zero operator annihilates every f and an empty method list checks
+    nothing, so a pass for either would certify nothing; both are refused
+    before any route runs.
     """
     if op.is_zero:
         raise ValueError("the zero operator annihilates everything; nothing to verify")
+    if not methods:
+        raise ValueError("no verification method given; nothing to verify")
     suite = tuple(suite) or default_suite()
     reports = []
     for method in methods:

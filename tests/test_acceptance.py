@@ -24,7 +24,7 @@ import pytest
 from steinforge.catalog import (catalog, quadratic_operator,
                                 verify_table1_extrema)
 from steinforge.derivation import (derive_operator, ibp_identity, minimal_scan,
-                                   leading_coefficient_report, verify_certificate)
+                                   verify_certificate)
 from steinforge.gaussian import (gauss_hermite_rule, gaussian_moment, hermite,
                                  pushforward_moment)
 from steinforge.noncentral import NoncentralParams, density_integral, noncentral_pdf
@@ -383,8 +383,11 @@ def _conjecture_case(n: int, max_order: int, max_degree: int,
         assert verify_certificate(scan.result, P)
         symbolic_ok = verify_symbolic(op, P, 30).passed
         mc_ok = verify_monte_carlo(op, P, [sine(1.0)], 1_000_000, seed=8).passed
-        payload["comparison"] = leading_coefficient_report(
-            scan.result, printed_conjecture).to_dict()
+        proportional, ratio = proportional_eq(
+            DiffOperator.single(0, op.coefficients[-1]),
+            DiffOperator.single(0, printed_conjecture))
+        payload["comparison"] = {"proportional": proportional,
+                                 "ratio": None if ratio is None else str(ratio)}
         payload["divides"] = printed_conjecture.divides(op.coefficients[-1])
     return payload, scan, symbolic_ok, mc_ok
 

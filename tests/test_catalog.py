@@ -21,6 +21,23 @@ def test_keys_listed():
             "noncentral-chi2", "table1(1)", "table1(6)"} <= set(keys)
 
 
+def test_keys_in_listed_order():
+    assert catalog_keys() == ["normal", "centered-chi2", "h3", "h4", "quadratic",
+                              "noncentral-chi2"] + [f"table1({n})" for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("key,n", [("normal", 1), ("centered-chi2", 2),
+                                   ("h3", 3), ("h4", 4)])
+def test_named_key_is_its_table1_row(key, n):
+    named, row = catalog(key), catalog(f"table1({n})")
+    assert named.operator == row.operator
+    assert named.pushforward == row.pushforward == hermite(n)
+    assert named.leading_coefficient == row.leading_coefficient
+    # only the named keys carry display LaTeX; h3 and h4 carry the extrema
+    assert named.display_latex and row.display_latex is None
+    assert (named.extrema is not None) == (n >= 3)
+
+
 def test_unknown_key():
     with pytest.raises(KeyError):
         catalog("nope")

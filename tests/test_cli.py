@@ -18,8 +18,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "steinforge", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -117,6 +120,34 @@ class TestExitCodes:
                                      "--poly", "x^3-3x", "--methods", methods)
             assert code == 64 and out == ""
             assert "zero operator" in err
+
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_empty_method_list_is_64(self, methods, capsys):
+        # a verification that ran no route must not pass
+        assert main(["verify", "--catalog", "h3", "--methods", methods]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no verification method" in captured.err
+
+    @pytest.mark.parametrize("content", [
+        '{"coefficients": [["1/0"], ["1"]]}',    # zero denominator
+        '[1]',                                   # not an object
+        '{"coefficients": [[null]]}',            # not a rational
+        '{"coefficients": [[1e400]]}',         # not finite
+        '{"rows": []}',                          # no coefficients
+        '{"coefficients": ',                     # not JSON
+        None,                                    # a directory
+    ])
+    def test_malformed_operator_file_is_64(self, content, tmp_path, capsys):
+        path = tmp_path / "op.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        code = main(["verify", "--operator", str(path), "--poly", "x^3-3x",
+                     "--methods", "symbolic"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err.startswith("error: cannot read an operator from")
 
     @pytest.mark.parametrize("bounds", [("-1", "2"), ("2", "-1")])
     def test_negative_scan_bounds_are_64(self, bounds):
@@ -322,6 +353,25 @@ def test_noncentral_lambda_beyond_bessel_range_is_a_usage_error(k, capsys):
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""
     assert "lambda = 10000000000.0" in captured.err
+
+
+@pytest.mark.parametrize("k", ["400", "600", "1e7"])
+def test_noncentral_k_beyond_float64_rule_is_a_usage_error(k, capsys):
+    # the first panel's Gauss-Jacobi weights times its half-width to the
+    # power k/2 overflow (at 1e7 inside roots_jacobi); warnings are errors
+    # here, so a usage error also shows that none reached stderr
+    code = main(["noncentral", "--k", k, "--lambda", "1", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == (
+        f"error: noncentral density rule does not build in float64 at "
+        f"k = {float(k)}, lambda = 1.0: the first panel's Gauss-Jacobi "
+        f"weights, scaled by its half-width to the power k/2, overflow\n")
+
+
+def test_noncentral_k_300_still_verifies(capsys):
+    code = main(["noncentral", "--k", "300", "--lambda", "1", "--verify"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_noncentral_lambda_1e9_fails_with_valid_json(capsys):

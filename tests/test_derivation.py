@@ -15,8 +15,7 @@ from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    _reduced_columns, _exact_kernel,
                                    _integer_rows, _nullspace,
                                    _rref, default_bounds, derive_operator,
-                                   ibp_identity, leading_coefficient_report,
-                                   minimal_scan, operator_image,
+                                   ibp_identity, minimal_scan, operator_image,
                                    verify_certificate)
 from steinforge.gaussian import hermite
 from steinforge.operators import DiffOperator, proportional_eq
@@ -321,25 +320,29 @@ class TestExactKernel:
 
 
 class TestLeadingCoefficientReport:
+    """The conjecture report compares leading coefficients by proportional_eq."""
+
+    @staticmethod
+    def compare(result, conjecture):
+        return proportional_eq(DiffOperator.single(0, result.operator.coefficients[-1]),
+                               DiffOperator.single(0, conjecture))
+
     def test_h3_vs_table_polynomial(self):
         r = derive_operator(H3, 5, 2)
-        rep = leading_coefficient_report(r, Polynomial([-4, 0, 1]))
-        assert rep.proportional and rep.ratio == -486
+        assert self.compare(r, Polynomial([-4, 0, 1])) == (True, -486)
 
     def test_h4_vs_table_polynomial(self):
         r = derive_operator(H4, 3, 2)
-        rep = leading_coefficient_report(r, Polynomial([-18, 3, 1]))
-        assert rep.proportional and rep.ratio == -192
+        assert self.compare(r, Polynomial([-18, 3, 1])) == (True, -192)
 
     def test_zero_conjecture_rejected(self):
         r = derive_operator(H4, 3, 2)
         with pytest.raises(ValueError):
-            leading_coefficient_report(r, Polynomial.zero())
+            self.compare(r, Polynomial.zero())
 
     def test_non_proportional(self):
         r = derive_operator(H4, 3, 2)
-        rep = leading_coefficient_report(r, Polynomial([1, 0, 1]))
-        assert not rep.proportional and rep.ratio is None
+        assert self.compare(r, Polynomial([1, 0, 1])) == (False, None)
 
 
 def _dense_reference_feasible(P, M, D, I, J):

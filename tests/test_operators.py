@@ -10,8 +10,9 @@ from steinforge.catalog import catalog, noncentral_chi2_operator, quadratic_oper
 from steinforge.gaussian import hermite, pushforward_moment
 from steinforge.operators import (DiffOperator, InsufficientSeeds,
                                   RecursionNotClosed, expectation_applied,
-                                  moment_recursion, normalize_operator,
-                                  proportional_eq, translate_operator)
+                                  moment_recursion, moment_relation,
+                                  normalize_operator, proportional_eq,
+                                  translate_operator)
 from steinforge.poly import Polynomial
 
 H3 = hermite(3)
@@ -153,6 +154,56 @@ class TestMomentRecursion:
     def test_contradictory_seed_detected(self):
         with pytest.raises(ValueError):
             moment_recursion(H3_OP, [1, 0, 5], 4)  # mu_2 must be 6
+
+
+class TestMomentRelation:
+    def test_h3_relations(self):
+        # A x^n for the h3 operator, read as coefficients of E[W^i]
+        assert moment_relation(H3_OP, 0) == [(1, -1)]
+        assert moment_relation(H3_OP, 1) == [(0, 6), (2, -1)]
+        assert moment_relation(H3_OP, 2) == [(1, 210), (3, -1)]
+        assert moment_relation(H3_OP, 3) == [(0, -1296), (2, 774), (4, -1)]
+        # mu_2 = 6 and mu_4 = 3348 satisfy them
+        mus = {0: 1, 1: 0, 2: 6, 3: 0, 4: 3348}
+        for n in range(4):
+            assert sum(c * mus[i] for i, c in moment_relation(H3_OP, n)) == 0
+
+    def test_orders_above_n_are_absent(self):
+        op = DiffOperator.from_rows([[0, 1], [], [5, 0, 0, 7]])
+        assert moment_relation(op, 0) == [(1, 1)]
+        assert moment_relation(op, 1) == [(2, 1)]
+        # n = 2 reaches order 2: 2! (7x^3 + 5) joins x^3 at index 3
+        assert moment_relation(op, 2) == [(0, 10), (3, 15)]
+
+    def test_cancelled_indices_are_dropped(self):
+        op = DiffOperator.from_rows([[0, 0, 1], [0, 0, 0, -1]])  # x^2 f - x^3 f'
+        assert moment_relation(op, 1) == []
+        assert moment_relation(op, 2) == [(4, -1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=5),
+           st.integers(0, 8))
+    def test_coefficients_of_applied_monomial(self, rows, n):
+        op = DiffOperator.from_rows(rows)
+        applied = op.apply(Polynomial.monomial(n))
+        assert moment_relation(op, n) == [(i, c) for i, c in enumerate(applied.coeffs)
+                                          if c]
+
+
+@pytest.mark.parametrize("rows,text", [
+    ([], "0"),
+    ([[1]], "f(x)"),                                  # unit constant: bare f-part
+    ([[-1]], "-f(x)"),                                # -1 constant
+    ([[0, 1], [-1]], "-f'(x)+xf(x)"),
+    ([[0, 0, 1]], "x^{2}f(x)"),                       # unit monomial
+    ([[0, 0, -1]], "-x^{2}f(x)"),
+    ([[0, Fraction(3, 2)], [0, 0, 0, -4]], "-4x^{3}f'(x)+3/2xf(x)"),  # non-unit
+    ([[0, -1], [-2, 1]], "(x-2)f'(x)-xf(x)"),         # multi-term: parenthesized
+    ([[-1, 0, -1]], "(-x^{2}-1)f(x)"),
+    ([[0, -1], [], [], [1]], "f^{(3)}(x)-xf(x)"),     # zero rows skipped
+])
+def test_latex_branches(rows, text):
+    assert DiffOperator.from_rows(rows).latex() == text
 
 
 def test_latex_generic_emitter():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from steinforge.poly import Polynomial, format_rational, parse_rational
+from steinforge.poly import Polynomial, format_terms
 
 X = Polynomial.x()
 H3 = Polynomial([0, -3, 0, 1])
@@ -87,10 +87,36 @@ def test_serialization_roundtrip():
     assert Polynomial.from_strings(p.to_strings()) == p
 
 
-def test_rational_strings():
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(Fraction(-4)) == "-4"
-    assert parse_rational("7/3") == Fraction(7, 3)
+@pytest.mark.parametrize("coeffs,text", [
+    ((), "0"),
+    ((1,), "1"),
+    ((-1,), "-1"),
+    ((Fraction(-7, 2),), "-7/2"),
+    ((0, 1), "x"),
+    ((0, -1), "-x"),
+    ((0, 0, 1), "x^2"),
+    ((0, 0, Fraction(3, 2)), "3/2x^2"),
+    ((1, -1, 3), "3x^2 - x + 1"),
+    ((-1, 0, 0, -1), "-x^3 - 1"),
+    ((0, 1, Fraction(1, 2)), "1/2x^2 + x"),
+])
+def test_str_pins(coeffs, text):
+    assert str(Polynomial(coeffs)) == text
+
+
+def test_format_terms_branches():
+    assert format_terms([]) == "0"
+    assert format_terms([(Fraction(0), "x")]) == "0"          # zero terms skipped
+    assert format_terms([(Fraction(1), "")]) == "1"           # unit kept without a factor
+    assert format_terms([(Fraction(-1), "x"), (Fraction(0), "y"),
+                         (Fraction(-2), "z")]) == "-x-2z"
+    assert format_terms([(Fraction(1), "x"), (Fraction(-1), "")], " ") == "x - 1"
+
+
+def test_terms_are_nonzero_and_descending():
+    p = Polynomial([5, 0, -1, 0, 2])
+    assert p.terms(str) == [(2, "4"), (-1, "2"), (5, "0")]
+    assert Polynomial.zero().terms(str) == []
 
 
 def test_divmod_exact():

@@ -20,7 +20,7 @@ from steinforge.poly import Polynomial
 from steinforge.testfunctions import (cosine, default_suite, gaussian_bump,
                                       monomial, sine)
 from steinforge.verify import (MAX_QUADRATURE_NODES, MAX_SAMPLES, CheckResult,
-                               VerificationReport, mutation_controls,
+                               VerificationReport, mutation_controls, verify_all,
                                verify_monte_carlo, verify_quadrature,
                                verify_symbolic)
 
@@ -315,6 +315,13 @@ def test_mutation_controls_all_detected():
     results_n = mutation_controls(catalog("normal").operator, Polynomial([0, 1]),
                                   default_suite())
     assert results_n and all(detected for _, _, detected in results_n)
+
+
+def test_verify_all_refuses_an_empty_method_list():
+    # a report list with no routes would pass while checking nothing
+    for methods in ((), []):
+        with pytest.raises(ValueError, match="no verification method"):
+            verify_all(catalog("h3").operator, H3, methods=methods)
 
 
 def test_report_json_shape():
