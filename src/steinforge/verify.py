@@ -192,10 +192,19 @@ def verify_all(op: DiffOperator, P: Polynomial,
 
     The zero operator annihilates every f and an empty method list checks
     nothing, so a pass for either would certify nothing; both are refused
-    before any route runs.
+    before any route runs, as is a coefficient of the operator or of P beyond
+    float range, which the float routes cannot evaluate.
     """
     if op.is_zero:
         raise ValueError("the zero operator annihilates everything; nothing to verify")
+    named = [(f"operator coefficient of x^{d} f^({m})", c)
+             for m, pm in enumerate(op.coefficients) for d, c in enumerate(pm.coeffs)]
+    named += [(f"coefficient of x^{d} in P", c) for d, c in enumerate(P.coeffs)]
+    for name, c in named:
+        try:
+            float(c)
+        except OverflowError:
+            raise ValueError(f"{name} is beyond float range") from None
     if not methods:
         raise ValueError("no verification method given; nothing to verify")
     suite = tuple(suite) or default_suite()

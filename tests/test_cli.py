@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from steinforge.cli import PolynomialSyntaxError, main, parse_polynomial
+from steinforge.cli import (PolynomialSyntaxError, build_parser, main,
+                            parse_polynomial)
+from steinforge.derivation import derive_operator
 from steinforge.gaussian import hermite
 from steinforge.poly import Polynomial
 
@@ -60,6 +62,32 @@ class TestGrammar:
             parse_polynomial("3 3")
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x^1/2")
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("", "empty polynomial", 0),
+        ("  ", "empty polynomial", 0),
+        ("x +", "expected a term", 3),
+        ("x - ", "expected a term", 3),
+        ("--", "expected a term", 2),
+        ("x^3 + &x", "unexpected '&'", 6),
+        ("2x y", "unexpected 'y'", 3),
+        ("^2", "exponent without x", 0),
+        ("x^2^3", "exponent without x", 3),
+        ("3 3", "expected '+' or '-'", 2),
+        ("x x", "expected '+' or '-'", 2),
+        ("x^2 1/2", "expected '+' or '-'", 4),
+        ("1/0x", "zero denominator", 0),
+        ("x + 2/0", "zero denominator", 4),
+        ("x^1/2", "expected integer exponent", 2),
+        ("x^", "expected integer exponent", 2),
+        ("x^ -1", "expected integer exponent", 3),
+        ("x^x", "expected integer exponent", 2),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == f"{message} at position {position}"
+        assert exc.value.position == position
 
 
 class TestExitCodes:
@@ -387,3 +415,75 @@ def test_samples_above_bound_are_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""
     assert "at most" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--poly", "x^2-1", "--order", "1", "--degree", "1", "--deepen"],
+    ["scan", "--coeffs", "0,-1,0,1", "--max-order", "2", "--max-degree", "1"],
+    ["verify", "--catalog", "normal", "--methods", "symbolic,quadrature",
+     "--nodes", "60", "--tol", "1e-9"],
+    ["catalog", "show", "h3"],
+    ["conjecture", "--hermite", "5", "--max-order", "2", "--max-degree", "1"],
+    ["noncentral", "--k", "2", "--lambda", "1", "--tol", "1e-6", "--verify"],
+])
+def test_config_echoes_every_parsed_option(argv, capsys):
+    # the echo replays the run: every option, in the parser's order
+    main(argv)
+    config = json.loads(capsys.readouterr().out)["config"]
+    parsed = vars(build_parser().parse_args(argv))
+    expected = [(k, v) for k, v in parsed.items() if k not in ("command", "func")]
+    assert list(config.items()) == expected
+
+
+@pytest.mark.parametrize("coefficients,poly,methods,name", [
+    ([["1.5e400"], ["1"]], "x^3-3x", "symbolic", "operator coefficient of x^0 f^(0)"),
+    ([["1.5e400"], ["1"]], "x^3-3x", "quadrature", "operator coefficient of x^0 f^(0)"),
+    ([["1.5e400"], ["1"]], "x^3-3x", "mc", "operator coefficient of x^0 f^(0)"),
+    ([["1"], ["1"]], f"x^3-{10 ** 400}x", "quadrature", "coefficient of x^1 in P"),
+])
+def test_coefficient_beyond_float_range_is_64(coefficients, poly, methods, name,
+                                              tmp_path, capsys):
+    # an exact rational from outside may exceed every float; no route runs
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"coefficients": coefficients}))
+    code = main(["verify", "--operator", str(path), "--poly", poly,
+                 "--methods", methods])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == f"error: {name} is beyond float range\n"
+
+
+class TestInputLimits:
+    def test_exponent_at_cap_parses(self):
+        assert parse_polynomial("x^1000").degree == 1000
+
+    def test_exponent_above_cap_is_refused(self, capsys):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial("x + x^1001")
+        assert str(exc.value) == "exponent above 1000 at position 6"
+        assert main(["derive", "--poly", "x^99999999999", "--order", "1",
+                     "--degree", "1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exponent above 1000" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--poly", "x", "--order", "65", "--degree", "0"],
+        ["derive", "--poly", "x", "--order", "0", "--degree", "65"],
+        ["derive", "--poly", "7", "--order", "1000", "--degree", "0"],
+        ["scan", "--poly", "x", "--max-order", "65", "--max-degree", "0"],
+        ["scan", "--poly", "x", "--max-order", "0", "--max-degree", "10000"],
+        ["conjecture", "--hermite", "5", "--max-order", "65", "--max-degree", "1"],
+    ])
+    def test_bounds_above_cap_are_refused_first(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("columns reduced before the bounds were checked")
+        monkeypatch.setattr("steinforge.derivation._reduced_columns", refuse)
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: order and degree bounds must be at most 64\n")
+
+    @pytest.mark.parametrize("bounds", [(64, 1), (1, 64)])
+    def test_bounds_at_cap_are_accepted(self, bounds):
+        assert derive_operator(Polynomial([0, 1]), *bounds).status == "found"
