@@ -21,7 +21,7 @@ import sys
 
 from steinforge.cli import parse_polynomial
 from steinforge.derivation import derive_operator, minimal_scan
-from steinforge.gaussian import hermite
+from steinforge.poly import hermite
 from steinforge.verify import verify_symbolic
 
 

@@ -10,9 +10,8 @@ import json
 
 from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import derive_operator, verify_certificate
-from steinforge.gaussian import hermite
 from steinforge.operators import proportional_eq
-from steinforge.poly import Polynomial
+from steinforge.poly import Polynomial, hermite
 
 
 def main() -> None:

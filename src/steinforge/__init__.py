@@ -1,8 +1,15 @@
 """steinforge: exact derivation and verification of polynomial-coefficient
-Stein operators for random variables W = P(Z), Z standard Gaussian."""
+Stein operators for random variables W = P(Z), Z standard Gaussian.
 
-from .poly import Polynomial, format_terms, rational
-from .gaussian import gauss_hermite_rule, gaussian_moment, hermite, pushforward_moment
+The exact engine is imported eagerly and loads no numpy. The numerical
+names (quadrature, sampling, test functions, the noncentral density and the
+verification routes) are imported on first access (PEP 562), so
+`import steinforge` and the commands that only derive start without numpy.
+"""
+from importlib import import_module
+
+from .poly import (Polynomial, format_terms, gaussian_moment, hermite,
+                   pushforward_moment, rational)
 from .terms import ExpectationVector, Term
 from .operators import (DiffOperator, expectation_applied, moment_recursion,
                         moment_relation, normalize_operator, proportional_eq,
@@ -12,10 +19,24 @@ from .derivation import (Certificate, DerivationResult, SearchBounds,
                          operator_image, verify_certificate)
 from .catalog import (CatalogEntry, catalog, catalog_keys, noncentral_chi2_operator,
                       quadratic_operator, verify_table1_extrema)
-from .testfunctions import (TestFunction, cosine, default_suite, gaussian_bump,
-                            monomial, sine)
-from .noncentral import NoncentralParams, bessel_i, noncentral_pdf
-from .verify import (VerificationReport, verify_monte_carlo, verify_noncentral_operator,
-                     verify_quadrature, verify_symbolic)
+
+_NUMERICAL = {
+    "gaussian": ("gauss_hermite_rule",),
+    "testfunctions": ("TestFunction", "cosine", "default_suite", "gaussian_bump",
+                      "monomial", "sine"),
+    "noncentral": ("NoncentralParams", "bessel_i", "noncentral_pdf"),
+    "verify": ("VerificationReport", "verify_monte_carlo",
+               "verify_noncentral_operator", "verify_quadrature", "verify_symbolic"),
+}
+_MODULE_OF = {name: module for module, names in _NUMERICAL.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

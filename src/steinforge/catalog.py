@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .gaussian import gauss_hermite_rule, hermite
 from .operators import DiffOperator
-from .poly import Polynomial, RationalLike, rational
+from .poly import Polynomial, RationalLike, hermite, rational
 
 
 @dataclass(frozen=True)
@@ -264,6 +263,8 @@ def verify_table1_extrema(n: int, tolerance: float = 1e-10) -> ExtremaReport:
     """
     if not 2 <= n <= 6:
         raise ValueError("extrema rows exist for n = 2..6")
+    # lazy: the catalog's other commands load no numpy
+    from .gaussian import gauss_hermite_rule
     hn = hermite(n)
     second = hn.derivative(2)
     crit = gauss_hermite_rule(n - 1)[0].tolist()  # Python floats

@@ -18,13 +18,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .catalog import catalog, catalog_keys, noncentral_chi2_operator
-from .derivation import derive_operator, minimal_scan
-from .gaussian import hermite
-from .noncentral import NoncentralParams, resolved_density_integral
+from .derivation import check_bounds, derive_operator, minimal_scan
 from .operators import DiffOperator, proportional_eq
-from .poly import Polynomial
-from .testfunctions import default_suite
-from .verify import verify_all, verify_noncentral_operator
+from .poly import Polynomial, hermite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -83,6 +79,9 @@ def parse_polynomial(text: str) -> Polynomial:
             raise PolynomialSyntaxError("expected a term", at)
         coef, exp = Fraction(1), 0
         if kind == "coef":
+            overlong = _overlong(value)
+            if overlong:
+                raise PolynomialSyntaxError(overlong, at)
             try:
                 coef = Fraction(value)
             except ZeroDivisionError:
@@ -95,7 +94,11 @@ def parse_polynomial(text: str) -> Polynomial:
                 kind, value, at = tokens[i + 1]
                 if kind != "coef" or "/" in value:
                     raise PolynomialSyntaxError("expected integer exponent", at)
-                exp = int(value)
+                # more digits than MAX_EXPONENT has is above it, and int()
+                # refuses a long enough run
+                digits = value.lstrip("0") or "0"
+                exp = int(digits) if len(digits) <= len(str(MAX_EXPONENT)) \
+                    else MAX_EXPONENT + 1
                 if exp > MAX_EXPONENT:
                     raise PolynomialSyntaxError(
                         f"exponent above {MAX_EXPONENT}", at)
@@ -106,10 +109,28 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial([coeffs.get(d, Fraction(0)) for d in range(width)])
 
 
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def _overlong(text: str) -> Optional[str]:
+    """The error for a coefficient whose text has a run of digits longer
+    than the interpreter converts to int (sys.get_int_max_str_digits, 0 for
+    no limit), checked before it is parsed; None when there is none."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run) > limit for run in _DIGIT_RUN.findall(text)):
+        return f"coefficient longer than {limit} digits"
+    return None
+
+
 def _poly_from_args(args) -> Polynomial:
     if getattr(args, "coeffs", None):
+        items = args.coeffs.split(",")
+        for index, item in enumerate(items):
+            overlong = _overlong(item)
+            if overlong:
+                raise UsageError(f"{overlong} at index {index} of --coeffs")
         try:
-            return Polynomial([Fraction(c) for c in args.coeffs.split(",")])
+            return Polynomial([Fraction(c) for c in items])
         except ZeroDivisionError:
             raise UsageError(f"zero denominator in --coeffs {args.coeffs}") from None
     if getattr(args, "poly", None):
@@ -187,6 +208,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_scan(args) -> int:
     P = _poly_from_args(args)
+    check_bounds(args.max_order, args.max_degree)
     print(f"scanning orders 0..{args.max_order}, degrees 0..{args.max_degree}",
           file=sys.stderr)
     scan = minimal_scan(P, args.max_order, args.max_degree)
@@ -197,6 +219,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # lazy: derive, scan, conjecture and catalog load no numpy
+    from .testfunctions import default_suite
+    from .verify import verify_all
     if args.catalog:
         entry = catalog(args.catalog)
         op = entry.operator
@@ -242,6 +267,7 @@ def _cmd_conjecture(args) -> int:
     P = hermite(n)
     row = catalog(f"table1({n})")
     conjectured = row.leading_coefficient
+    check_bounds(args.max_order, args.max_degree)
     print(f"conjecture scan for Hermite order {n}: "
           f"orders 0..{args.max_order}, degrees 0..{args.max_degree}",
           file=sys.stderr)
@@ -269,6 +295,10 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_noncentral(args) -> int:
+    # lazy, as in _cmd_verify
+    from .noncentral import NoncentralParams, resolved_density_integral
+    from .testfunctions import default_suite
+    from .verify import verify_noncentral_operator
     params = NoncentralParams(k=args.k, lam=getattr(args, "lambda"))
     op = noncentral_chi2_operator(args.k, getattr(args, "lambda"))
     payload = _head(args) | {"operator": op.to_dict(),

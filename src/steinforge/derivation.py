@@ -62,7 +62,7 @@ rank test mod a prime cannot rule out reach the exact kernel.
 
 The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
 row is cleared of denominators, and one elimination modulo the prime
-p = 2^31 - 1 picks r pivot rows and columns. Rank mod p <= rank over Q, so
+p = 2^31 - 1, in Python ints, picks r pivot rows and columns. Rank mod p <= rank over Q, so
 a cell with no free column mod p is infeasible for certain. Otherwise
 fraction-free Bareiss elimination on the r x r pivot minor gives one
 integer vector per free column, and an exact check A v = 0 on every row
@@ -78,13 +78,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import Iterable, Optional
 
-import numpy as np
-
-from .gaussian import power_table
 from .operators import DiffOperator, normalize_operator
-from .poly import Polynomial
+from .poly import Polynomial, power_table
 from .terms import ExpectationVector, Term, term_order
 
 
@@ -101,7 +98,8 @@ class DerivationError(ValueError):
 MAX_BOUND = 64
 
 
-def _check_bounds(max_order: int, max_coeff_degree: int) -> None:
+def check_bounds(max_order: int, max_coeff_degree: int) -> None:
+    """Refuse a negative bound, or one above MAX_BOUND, before any work."""
     if max_order < 0 or max_coeff_degree < 0:
         raise DerivationError("order and degree bounds must be nonnegative")
     if max_order > MAX_BOUND or max_coeff_degree > MAX_BOUND:
@@ -318,7 +316,7 @@ def _reduced_columns(P: Polynomial, M: int,
     M - m: its level 0 is level M - m as it stood just before its own
     sweep, and its level j >= 1 is the residue (z-powers below p - 1) of
     level M - m + j. The powers r^d P^d, r the lcm of P's denominators,
-    come from the integer table of `gaussian.power_table`; P^d's sweep runs
+    come from the integer table of `poly.power_table`; P^d's sweep runs
     over the scale r^d * L^E.
     """
     a, q = _cleared_derivative(P)
@@ -383,7 +381,8 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-# A 31-bit prime: residues and their pairwise products fit in numpy.int64.
+# 2^31 - 1. Rank mod p never exceeds rank over Q, and a prime this large
+# rarely makes it drop below; products of two residues stay below 2^62.
 _PRIME = 2_147_483_647
 
 
@@ -406,37 +405,51 @@ def _integer_rows(columns: list[dict[Term, Fraction]]) -> list[list[int]]:
     return rows
 
 
-def _residues(rows: list[list[int]], ncols: int) -> np.ndarray:
+def _residues(rows: list[list[int]], columns: Iterable[int]) -> list[list[int]]:
+    """The columns of `rows` named by `columns`, in that order, each a list
+    of its entries mod _PRIME: a fresh matrix for `_residue_pivots`."""
     p = _PRIME
-    return np.array([[v % p for v in row] for row in rows],
-                    dtype=np.int64).reshape(len(rows), ncols)
+    return [[row[c] % p for row in rows] for c in columns]
 
 
-def _residue_pivots(a: np.ndarray):
-    """Gaussian elimination of the residue matrix `a` mod _PRIME, in place,
-    one column at a time. Yields (column, row) per column: the index in `a`
-    of the row that pivots the column, or None when the column depends on
-    the earlier ones mod _PRIME.
+def _residue_pivots(columns: list[list[int]]):
+    """Gaussian elimination mod _PRIME of the matrix given by its
+    `columns`, one column at a time, in place. Yields (column, row) per
+    column: the index of the row that pivots the column, or None when the
+    column depends on the earlier ones mod _PRIME.
+
+    Each column is first reduced by the pivots before it (left-looking), so
+    a caller that stops early leaves the later columns untouched. The pivot
+    is the first row, in an order that starts as the row order and swaps
+    each pivot up behind the previous ones, whose reduced entry is nonzero
+    mod p. Entries accumulate unreduced sums, each added term a product of
+    two residues, and are reduced only when read; a pivot stores only the
+    nonzero multipliers of the rows below it.
 
     The pivot rows and columns seen so far index a minor whose leading
     principal minors, in pivot order, are all nonzero mod p, hence nonzero
     over Q.
     """
     p = _PRIME
-    order = np.arange(a.shape[0])
-    r = 0
-    for c in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[r:, c])
-        if nonzero.size == 0:
+    order = list(range(len(columns[0]) if columns else 0))
+    pivots: list[tuple[int, list[tuple[int, int]]]] = []
+    for c, x in enumerate(columns):
+        for row, multipliers in pivots:
+            t = x[row] % p
+            if t:
+                for i, f in multipliers:
+                    x[i] += f * t
+        r = len(pivots)
+        at = next((k for k in range(r, len(order)) if x[order[k]] % p), None)
+        if at is None:
             yield c, None
             continue
-        pivot = r + int(nonzero[0])
-        a[[r, pivot]] = a[[pivot, r]]
-        order[[r, pivot]] = order[[pivot, r]]
-        factors = a[r + 1:, c] * pow(int(a[r, c]), -1, p) % p
-        a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(factors, a[r, c:])) % p
-        yield c, int(order[r])
-        r += 1
+        order[r], order[at] = order[at], order[r]
+        row = order[r]
+        scale = p - pow(x[row] % p, -1, p)
+        pivots.append((row, [(i, v * scale % p) for i in order[r + 1:]
+                             if (v := x[i] % p)]))
+        yield c, row
 
 
 def _bareiss_kernel(rows: list[list[int]], ncols: int,
@@ -507,12 +520,13 @@ def _exact_kernel(rows: list[list[int]], ncols: int,
     # the early steps: on H7's frontier cells they stay under 1200 bits for
     # the first 90 of 127 steps, where the natural order passes 2000 bits by
     # step 45, and the five solves take 2.5 s instead of 6.6 s.
+    order = range(ncols - 1, -1, -1)
     pivots, free = [], []
-    for c, r in _residue_pivots(_residues(rows, ncols)[:, ::-1]):
+    for c, r in _residue_pivots(_residues(rows, order)):
         if r is None:
-            free.append(ncols - 1 - c)
+            free.append(order[c])
         else:
-            pivots.append((r, ncols - 1 - c))
+            pivots.append((r, order[c]))
     if not free:
         return []
     vectors = _bareiss_kernel(rows, ncols, pivots,
@@ -579,7 +593,7 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
     Infeasibility is relative to the searched family, never a nonexistence
     proof.
     """
-    _check_bounds(max_order, max_coeff_degree)
+    check_bounds(max_order, max_coeff_degree)
     if P.degree <= 0:
         # W = c almost surely: (x - c) f(x) annihilates with no identities
         op = DiffOperator((Polynomial((-P(0), 1)),))
@@ -646,15 +660,15 @@ class ScanResult:
         }
 
 
-def _first_uncertain_column(residues: np.ndarray) -> int:
-    """Index of the first column that depends on the earlier ones mod
+def _first_uncertain_column(columns: list[list[int]]) -> int:
+    """Index of the first of `columns` that depends on the earlier ones mod
     _PRIME; the number of columns if none does.
 
     Every shorter prefix has full column rank over Q: a minor that is
     nonzero mod p is nonzero over Q.
     """
-    return next((c for c, row in _residue_pivots(residues) if row is None),
-                residues.shape[1])
+    return next((c for c, row in _residue_pivots(columns) if row is None),
+                len(columns))
 
 
 def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanResult:
@@ -672,13 +686,13 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
       later cell needs only its status.
     The residue rank only rules cells out, and only where that is certain.
     """
-    _check_bounds(max_order, max_coeff_degree)
+    check_bounds(max_order, max_coeff_degree)
     if P.degree < 1:
         raise DegeneratePushforward("P is constant")
     M, D = max_order, max_coeff_degree
     cells = [(m, d) for m in range(M + 1) for d in range(D + 1)]
     reduced = _reduced_columns(P, M, D)
-    residues = _residues(_integer_rows([reduced[c] for c in cells]), len(cells))
+    residues = _residues(_integer_rows([reduced[c] for c in cells]), range(len(cells)))
     grid: dict[tuple[int, int], str] = {}
     found: list[tuple[int, int]] = []
     minimal = None
@@ -687,7 +701,7 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
         # order <= m columns by degree, so cell (m, d) is a prefix
         columns = [(mm, d) for d in range(D + 1) for mm in range(m + 1)]
         first = _first_uncertain_column(
-            residues[:, [mm * (D + 1) + d for mm, d in columns]])
+            [residues[mm * (D + 1) + d][:] for mm, d in columns])
         full_rank_below = columns[first][1] if first < len(columns) else D + 1
         for d in range(D + 1):
             if any(fm <= m and fd <= d for fm, fd in found):

@@ -1,77 +1,17 @@
-"""Exact Gaussian moments, Hermite polynomials, quadrature and seeded sampling.
+"""Gauss-Hermite quadrature and seeded Gaussian sampling, in float64.
 
-Conventions are probabilists' throughout: Hermite polynomials satisfy
-He(n+1) = x*He(n) - n*He(n-1) and are orthogonal for the weight
-exp(-x^2/2)/sqrt(2*pi). Exact quantities are Fractions; quadrature rules
-and samples are explicitly float.
+The weight is the standard Gaussian density exp(-x^2/2)/sqrt(2*pi). The
+exact quantities these are checked against, Hermite polynomials and Gaussian
+moments, live in `poly`, which loads no numpy.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .poly import Polynomial
-
-
-@lru_cache(maxsize=None)
-def hermite(n: int) -> Polynomial:
-    """n-th probabilists' Hermite polynomial, exact."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return Polynomial.constant(1)
-    prev, cur = Polynomial.constant(1), Polynomial.x()
-    for k in range(1, n):
-        prev, cur = cur, Polynomial.x() * cur - k * prev
-    return cur
-
-
-@lru_cache(maxsize=None)
-def gaussian_moment(n: int) -> Fraction:
-    """E[Z^n] for standard Gaussian Z: 0 for odd n, (n-1)!! for even n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n % 2 == 1:
-        return Fraction(0)
-    return Fraction(math.prod(range(1, n, 2)))
-
-
-# Per P: (r, powers, moments), r the lcm of P's denominators. powers[d]
-# holds the integer coefficients c_i of r^d P^d, each power one product
-# from the last, and moments[d] = E[P(Z)^d] = sum_i c_i E[Z^i] / r^d.
-_TABLES: dict[Polynomial, tuple[int, list[list[int]], list[Fraction]]] = {}
-
-
-def power_table(P: Polynomial, d: int
-                ) -> tuple[int, list[list[int]], list[Fraction]]:
-    """(r, powers, moments) of P for degrees 0..d: the one place powers of
-    P are built. The table is cached per P and extended on demand; the
-    inner power lists are shared with it and must not be mutated."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if P not in _TABLES:
-        _TABLES[P] = (math.lcm(*[c.denominator for c in P.coeffs]), [[1]],
-                      [Fraction(1)])
-    r, powers, moments = _TABLES[P]
-    base = [c.numerator * (r // c.denominator) for c in P.coeffs]
-    while len(powers) <= d:
-        product = [0] * max(len(powers[-1]) + len(base) - 1, 0)
-        for t, c in enumerate(powers[-1]):
-            for s, b in enumerate(base):
-                product[t + s] += c * b
-        moments.append(Fraction(
-            sum(c * gaussian_moment(2 * j).numerator
-                for j, c in enumerate(product[::2])), r ** len(powers)))
-        powers.append(product)
-    return r, powers[:d + 1], moments[:d + 1]
-
-
-def pushforward_moment(P: Polynomial, d: int) -> Fraction:
-    """Exact E[P(Z)^d], from the power table."""
-    return power_table(P, d)[2][d]
+from .poly import gaussian_moment
 
 
 class QuadratureValidationError(RuntimeError):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .gaussian import power_table
-from .poly import Polynomial, RationalLike, format_terms, rational
+from .poly import Polynomial, RationalLike, format_terms, power_table, rational
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import hermite
+from .poly import hermite
 
 MAX_DERIVATIVE_ORDER = 12
 

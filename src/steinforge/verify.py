@@ -6,7 +6,7 @@ monomial x^n gives, in closed form,
     E[(A x^n)(W)] = sum_(m <= n) n!/(n-m)! sum_d q_(m,d) mu_(d+n-m),
 with mu_k = E[P(Z)^k] the exact pushforward moments: the pairs of
 `operators.moment_relation`, which `operators.moment_recursion` solves.
-All moments come from one call to `gaussian.power_table`; no operator is
+All moments come from one call to `poly.power_table`; no operator is
 applied to a polynomial.
 `operators.expectation_applied` is the general route for any polynomial f
 and gives the same values.
@@ -32,12 +32,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .gaussian import (chunk_indices, chunk_normals, gauss_hermite_rule,
-                       power_table)
+from .gaussian import chunk_indices, chunk_normals, gauss_hermite_rule
 from .noncentral import (NoncentralParams, resolved_density_integral,
                          sample_noncentral)
 from .operators import DiffOperator, moment_relation
-from .poly import Polynomial
+from .poly import Polynomial, power_table
 from .testfunctions import TestFunction, default_suite
 
 Target = Union[Polynomial, NoncentralParams]

@@ -25,11 +25,10 @@ from steinforge.catalog import (catalog, quadratic_operator,
                                 verify_table1_extrema)
 from steinforge.derivation import (derive_operator, ibp_identity, minimal_scan,
                                    verify_certificate)
-from steinforge.gaussian import (gauss_hermite_rule, gaussian_moment, hermite,
-                                 pushforward_moment)
+from steinforge.gaussian import gauss_hermite_rule
 from steinforge.noncentral import NoncentralParams, density_integral, noncentral_pdf
 from steinforge.operators import DiffOperator, moment_recursion, proportional_eq
-from steinforge.poly import Polynomial
+from steinforge.poly import Polynomial, gaussian_moment, hermite, pushforward_moment
 from steinforge.terms import ExpectationVector
 from steinforge.testfunctions import cosine, gaussian_bump, sine
 from steinforge.verify import (verify_monte_carlo, verify_noncentral_operator,

@@ -10,7 +10,7 @@ import pytest
 from steinforge.catalog import (ExtremaData, RadicalValue, catalog, catalog_keys,
                                 noncentral_chi2_operator, quadratic_operator,
                                 verify_table1_extrema)
-from steinforge.gaussian import hermite
+from steinforge.poly import hermite
 from steinforge.operators import expectation_applied
 from steinforge.poly import Polynomial
 

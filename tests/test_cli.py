@@ -13,8 +13,7 @@ import pytest
 from steinforge.cli import (PolynomialSyntaxError, build_parser, main,
                             parse_polynomial)
 from steinforge.derivation import derive_operator
-from steinforge.gaussian import hermite
-from steinforge.poly import Polynomial
+from steinforge.poly import Polynomial, hermite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -310,11 +309,12 @@ class TestReproducibility:
         assert "scanning" in err
 
 
-def loaded_scipy_modules(code: str) -> set[str]:
-    """scipy modules in sys.modules after a fresh interpreter runs `code`."""
+def loaded_modules(code: str, roots=("scipy",)) -> set[str]:
+    """Modules of the packages `roots` in sys.modules after a fresh
+    interpreter runs `code`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = (code + "\nimport sys\n"
-             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -323,20 +323,44 @@ def loaded_scipy_modules(code: str) -> set[str]:
 
 class TestColdStart:
     def test_import_loads_no_scipy(self):
-        assert loaded_scipy_modules("import steinforge.cli") == set()
+        assert loaded_modules("import steinforge.cli") == set()
 
     def test_numerical_routes_load_scipy(self):
         # negative control: the probe sees scipy once a route needs it
-        rule = loaded_scipy_modules(
+        rule = loaded_modules(
             "import steinforge.cli\n"
             "from steinforge.gaussian import gauss_hermite_rule\n"
             "gauss_hermite_rule(201)")
         assert "scipy.linalg" in rule and "scipy.integrate" not in rule
-        density = loaded_scipy_modules(
+        density = loaded_modules(
             "import steinforge.cli\n"
             "from steinforge.noncentral import NoncentralParams, density_integral\n"
             "density_integral(NoncentralParams(k=2, lam=1), lambda x: 1.0)")
         assert "scipy.special" in density and "scipy.integrate" not in density
+
+    def test_exact_commands_load_no_numpy(self):
+        # derive, scan, conjecture and catalog run on the exact engine alone;
+        # verify is the negative control, so the probe does see numpy
+        commands = [
+            ["derive", "--poly", "x^3-3x", "--order", "5", "--degree", "2"],
+            ["scan", "--poly", "x^2-1", "--max-order", "1", "--max-degree", "1"],
+            ["conjecture", "--hermite", "5", "--max-order", "2", "--max-degree", "1"],
+            ["catalog", "list"],
+            ["catalog", "show", "h3"],
+        ]
+        run = ("import contextlib, io\nfrom steinforge.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()), "
+               "contextlib.redirect_stderr(io.StringIO()):\n"
+               f"    assert [main(argv) for argv in {commands!r}] == [0, 0, 2, 0, 0]\n")
+        assert loaded_modules(run, ("numpy", "scipy")) == set()
+        verify = run + "    main(['verify', '--catalog', 'h3', '--methods', 'symbolic'])\n"
+        assert "numpy" in loaded_modules(verify, ("numpy", "scipy"))
+
+    def test_derivation_imports_without_numpy(self):
+        # a None entry in sys.modules makes `import numpy` raise ImportError
+        loaded = loaded_modules("import sys\nsys.modules['numpy'] = None\n"
+                                "import steinforge.derivation", ("steinforge",))
+        assert "steinforge.derivation" in loaded
 
 
 def test_main_callable_in_process(capsys):
@@ -481,8 +505,33 @@ class TestInputLimits:
         assert main(argv) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(
-            "error: order and degree bounds must be at most 64\n")
+        assert captured.err == "error: order and degree bounds must be at most 64\n"
+
+    # one digit past the interpreter's int() limit
+    LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+    def test_overlong_exponent_is_refused(self):
+        with pytest.raises(PolynomialSyntaxError) as exc:
+            parse_polynomial(f"x + x^{self.LONG}")
+        assert str(exc.value) == "exponent above 1000 at position 6"
+        assert parse_polynomial("x^" + "0" * len(self.LONG) + "3").degree == 3
+
+    def test_overlong_poly_coefficient_is_refused(self):
+        limit = sys.get_int_max_str_digits()
+        for text, position in ((f"x + {self.LONG}x^2", 4), (f"x - 1/{self.LONG}", 4)):
+            with pytest.raises(PolynomialSyntaxError) as exc:
+                parse_polynomial(text)
+            assert str(exc.value) == \
+                f"coefficient longer than {limit} digits at position {position}"
+
+    def test_overlong_coeffs_entry_is_refused(self, capsys):
+        argv = ["derive", "--coeffs", f"0,1,{self.LONG}", "--order", "1", "--degree", "1"]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: coefficient longer than "
+                                f"{sys.get_int_max_str_digits()} digits at index 2 "
+                                f"of --coeffs\n")
 
     @pytest.mark.parametrize("bounds", [(64, 1), (1, 64)])
     def test_bounds_at_cap_are_accepted(self, bounds):

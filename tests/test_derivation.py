@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,13 +14,12 @@ from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationError, DerivationResult, ScanResult,
                                    SearchBounds, _PRIME, _reduce,
                                    _reduced_columns, _exact_kernel,
-                                   _integer_rows, _nullspace,
-                                   _rref, default_bounds, derive_operator,
+                                   _integer_rows, _nullspace, _residue_pivots,
+                                   _residues, _rref, default_bounds, derive_operator,
                                    ibp_identity, minimal_scan, operator_image,
                                    verify_certificate)
-from steinforge.gaussian import hermite
 from steinforge.operators import DiffOperator, proportional_eq
-from steinforge.poly import Polynomial
+from steinforge.poly import Polynomial, hermite
 from steinforge.terms import ExpectationVector
 
 X = Polynomial.x()
@@ -285,6 +285,8 @@ class TestExactKernel:
     @given(rational_matrices())
     @example([[Fraction(_PRIME)]])
     @example([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(6 + _PRIME)]])
+    @example([[Fraction(0)]])
+    @example([[Fraction(0)] * 3] * 2)
     def test_matches_fraction_nullspace(self, matrix):
         # same row space after _rref as the Fraction reference, whether the
         # residue rank is right or the gate has to fall back
@@ -297,6 +299,39 @@ class TestExactKernel:
         assert len(first) >= 1 if reference else first == []
         for vec in first:
             assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+
+    @staticmethod
+    def dense_pivots(rows, ncols, p):
+        """Reference for _residue_pivots: row elimination with every entry
+        reduced mod p at every step; the pivot is the first row at or below
+        the current one with a nonzero entry, swapped up."""
+        a = [[v % p for v in row] for row in rows]
+        order = list(range(len(a)))
+        out, r = [], 0
+        for c in range(ncols):
+            pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
+            if pivot is None:
+                out.append((c, None))
+                continue
+            a[r], a[pivot] = a[pivot], a[r]
+            order[r], order[pivot] = order[pivot], order[r]
+            inv = pow(a[r][c], -1, p)
+            for i in range(r + 1, len(a)):
+                f = a[i][c] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+            out.append((c, order[r]))
+            r += 1
+        return out
+
+    @pytest.mark.parametrize("prime", [_PRIME, 3])
+    @settings(deadline=None, max_examples=200)
+    @given(matrix=rational_matrices())
+    def test_residue_pivots_match_dense_reference(self, prime, matrix):
+        ncols = len(matrix[0])
+        rows = _integer_rows(self.columns(matrix))
+        with mock.patch.object(derivation, "_PRIME", prime):
+            got = list(_residue_pivots(_residues(rows, range(ncols))))
+        assert got == self.dense_pivots(rows, ncols, prime)
 
     def test_prime_three_falls_back_and_grids_match(self, monkeypatch):
         # mod 3 many residue ranks fall short of the rational rank, so the

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
-                                 chunk_normals, gauss_hermite_rule, gaussian_moment,
-                                 hermite, power_table, pushforward_moment)
-from steinforge.poly import Polynomial
+                                 chunk_normals, gauss_hermite_rule)
+from steinforge.poly import (Polynomial, gaussian_moment, hermite, power_table,
+                             pushforward_moment)
 from test_derivation import rational_polys
 
 

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinforge.catalog import catalog, noncentral_chi2_operator, quadratic_operator
-from steinforge.gaussian import hermite, pushforward_moment
 from steinforge.operators import (DiffOperator, InsufficientSeeds,
                                   RecursionNotClosed, expectation_applied,
                                   moment_recursion, moment_relation,
                                   normalize_operator, proportional_eq,
                                   translate_operator)
-from steinforge.poly import Polynomial
+from steinforge.poly import Polynomial, hermite, pushforward_moment
 
 H3 = hermite(3)
 H4 = hermite(4)

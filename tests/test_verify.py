@@ -13,10 +13,10 @@ from steinforge.catalog import catalog
 from steinforge import gaussian, noncentral, verify
 from steinforge.cli import main
 from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
-                                 gauss_hermite_rule, hermite)
+                                 gauss_hermite_rule)
 from steinforge.noncentral import NoncentralParams, resolved_density_integral
 from steinforge.operators import DiffOperator, expectation_applied
-from steinforge.poly import Polynomial
+from steinforge.poly import Polynomial, hermite, pushforward_moment
 from steinforge.testfunctions import (cosine, default_suite, gaussian_bump,
                                       monomial, sine)
 from steinforge.verify import (MAX_QUADRATURE_NODES, MAX_SAMPLES, CheckResult,
@@ -140,12 +140,12 @@ class TestSymbolicClosedForm:
                 bumped[m][d] += 1
                 report = verify_symbolic(DiffOperator.from_rows(bumped), P)
                 first = next(n for n in range(m, 31)
-                             if gaussian.pushforward_moment(P, d + n - m))
+                             if pushforward_moment(P, d + n - m))
                 assert all(c.passed for c in report.checks[:first]), (m, d)
                 check = report.checks[first]
                 assert not check.passed, (m, d)
                 assert check.residual == float(
-                    math.perm(first, m) * gaussian.pushforward_moment(P, d + first - m))
+                    math.perm(first, m) * pushforward_moment(P, d + first - m))
 
 
 class TestTargetExpectation:
