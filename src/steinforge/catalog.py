@@ -7,6 +7,7 @@ baked in anywhere.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -185,8 +186,7 @@ def catalog(key: str, **params) -> CatalogEntry:
     """Look up an operator (or table row) by key.
 
     Parametric keys: quadratic(a, b, c) and noncentral-chi2(k, lam) take
-    keyword arguments; table1(n) may be written either as key "table1(3)"
-    or as key "table1" with n=3.
+    keyword arguments; row n of Table 1 is the key "table1(n)", matched whole.
     """
     if key in _NAMED:
         n, label, with_extrema, display = _NAMED[key]
@@ -212,13 +212,9 @@ def catalog(key: str, **params) -> CatalogEntry:
             key=f"noncentral-chi2({k},{lam})", label="noncentral chi-square",
             operator=noncentral_chi2_operator(k, lam),
             pushforward=None, leading_coefficient=None, extrema=None)
-    if key.startswith("table1"):
-        n = params.get("n")
-        if n is None:
-            inner = key[len("table1"):].strip("()")
-            if not inner.isdigit():
-                raise KeyError(f"unknown catalog key: {key!r}")
-            n = int(inner)
+    row = re.fullmatch(r"table1\(([0-9])\)", key)
+    if row:
+        n = int(row[1])
         if not 1 <= n <= 6:
             raise ValueError("table rows cover n = 1..6")
         op = _OPERATORS.get(n)

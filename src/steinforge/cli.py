@@ -109,16 +109,24 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial([coeffs.get(d, Fraction(0)) for d in range(width)])
 
 
+# Longest integer, in digits, that input text may make int() or Fraction()
+# build: the interpreter's default int/str conversion limit, fixed here
+# because _head lifts the process limit while a payload is serialized.
+MAX_DIGITS = 4300
+
 _DIGIT_RUN = re.compile(r"\d+")
+_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
 
 
 def _overlong(text: str) -> Optional[str]:
     """The error for a coefficient whose text has a run of digits longer
-    than the interpreter converts to int (sys.get_int_max_str_digits, 0 for
-    no limit), checked before it is parsed; None when there is none."""
-    limit = sys.get_int_max_str_digits()
-    if limit and any(len(run) > limit for run in _DIGIT_RUN.findall(text)):
-        return f"coefficient longer than {limit} digits"
+    than MAX_DIGITS, or an exponent e whose 10^|e| Fraction() would build
+    that long, checked before it is parsed; None when there is none."""
+    text = text.replace("_", "")  # Fraction() reads 1_000 as 1000
+    exponent = _EXPONENT.search(text)
+    if any(len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)) or (
+            exponent and int(exponent[1]) >= MAX_DIGITS):
+        return f"coefficient longer than {MAX_DIGITS} digits"
     return None
 
 
@@ -161,7 +169,7 @@ def _tolerance(text: str) -> float:
 
 def _emit(payload: dict, fmt: str, latex_text: Optional[str] = None) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     elif fmt == "latex":
         sys.stdout.write((latex_text or "") + "\n")
     else:
@@ -189,7 +197,13 @@ def _plain_lines(payload, prefix: str = "") -> list[str]:
 
 def _head(args) -> dict:
     """The head of a payload: the command and every option it was parsed
-    with, in the parser's order, so the run replays from its output."""
+    with, in the parser's order, so the run replays from its output.
+
+    Every command reads its inputs before it starts a payload, so from here
+    on the interpreter's int/str digit limit is lifted and a finished result
+    prints whole; main restores the limit when the command returns.
+    """
+    sys.set_int_max_str_digits(0)
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     return {"command": args.command, "config": config}
 
@@ -233,7 +247,16 @@ def _cmd_verify(args) -> int:
             raise UsageError("either --catalog or --operator is required")
         try:
             with open(args.operator) as fh:
-                op = DiffOperator.from_dict(json.load(fh))
+                data = json.load(fh)
+            for m, row in enumerate(data["coefficients"]):
+                for d, item in enumerate(row):
+                    overlong = isinstance(item, str) and _overlong(item)
+                    if overlong:
+                        raise UsageError(f"{overlong} at coefficients[{m}][{d}] "
+                                         f"of {args.operator}")
+            op = DiffOperator.from_dict(data)
+        except UsageError:
+            raise
         except (OSError, ValueError, LookupError, TypeError, ArithmeticError) as exc:
             raise UsageError(f"cannot read an operator from {args.operator}: "
                              f"{exc!r}") from None
@@ -395,6 +418,7 @@ def _shared_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    limit = sys.get_int_max_str_digits()
     try:
         args = _shared_parser().parse_args(argv)
         if args.command == "catalog" and args.action == "show" and not args.key:
@@ -406,6 +430,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
-"""Differential operators with polynomial coefficients and their algebra.
+"""Differential operators with polynomial coefficients.
 
 An operator A acts on test functions as
     (A f)(x) = sum_m p_m(x) f^(m)(x),
 with each p_m an exact rational polynomial. Besides application and exact
-expectations for W = P(Z), this module provides translation, normalization
-and proportionality comparison, the moment relation that feeding x^n into
+expectations for W = P(Z), this module provides normalization and
+proportionality comparison, the moment relation that feeding x^n into
 E[(A f)(W)] gives, and the recursion that solves it.
 """
 from __future__ import annotations
@@ -49,11 +49,6 @@ class DiffOperator:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, m: int) -> Polynomial:
-        if 0 <= m < len(self.coefficients):
-            return self.coefficients[m]
-        return Polynomial.zero()
-
     def apply(self, f: Polynomial) -> Polynomial:
         """(A f)(x) = sum_m p_m(x) f^(m)(x), exactly."""
         out = Polynomial.zero()
@@ -68,20 +63,6 @@ class DiffOperator:
     def scaled(self, c: RationalLike) -> "DiffOperator":
         c = rational(c)
         return DiffOperator(tuple(p * c for p in self.coefficients))
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return DiffOperator(tuple(self.coefficient(m) + other.coefficient(m)
-                                  for m in range(n)))
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + other.scaled(-1)
-
-    def compose_derivative(self, k: int = 1) -> "DiffOperator":
-        """The operator f -> A(f^(k)): coefficients shift up by k orders."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        return DiffOperator((Polynomial.zero(),) * k + self.coefficients)
 
     def to_dict(self) -> dict:
         return {"order": self.order,
@@ -118,13 +99,6 @@ def expectation_applied(op: DiffOperator, P: Polynomial, f: Polynomial) -> Fract
     g = op.apply(f)
     mus = power_table(P, max(g.degree, 0))[2]
     return sum((c * mu for c, mu in zip(g.coeffs, mus)), Fraction(0))
-
-
-def translate_operator(op: DiffOperator, c: RationalLike) -> DiffOperator:
-    """Replace each p_m(x) by p_m(x - c); annihilation moves from W to W + c."""
-    c = rational(c)
-    shift = Polynomial((-c, 1))
-    return DiffOperator(tuple(p.compose(shift) for p in op.coefficients))
 
 
 def normalize_operator(op: DiffOperator) -> DiffOperator:

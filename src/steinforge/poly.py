@@ -161,18 +161,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact euclidean division; other must be nonzero."""
         if not isinstance(other, Polynomial):

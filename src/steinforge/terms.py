@@ -37,9 +37,6 @@ class ExpectationVector:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, t: Term) -> Fraction:
-        return self._terms.get(t, Fraction(0))
-
     def support(self) -> list[Term]:
         return sorted(self._terms, key=term_order)
 
@@ -58,12 +55,6 @@ class ExpectationVector:
             else:
                 out[t] = s
         return ExpectationVector(out)
-
-    def __neg__(self) -> "ExpectationVector":
-        return ExpectationVector({t: -c for t, c in self._terms.items()})
-
-    def __sub__(self, other: "ExpectationVector") -> "ExpectationVector":
-        return self + (-other)
 
     def scaled(self, c) -> "ExpectationVector":
         c = Fraction(c)

@@ -26,6 +26,7 @@ scipy.special; scipy.integrate is not used.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -93,8 +94,13 @@ def verify_symbolic(op: DiffOperator, P: Polynomial,
     checks = []
     for n, relation in enumerate(relations):
         residual = sum((c * mus[i] for i, c in relation), Fraction(0))
+        try:
+            value = float(residual)
+        except OverflowError:
+            raise ValueError(
+                f"residual of monomial({n}) is beyond float range") from None
         checks.append(CheckResult(
-            name=f"monomial({n})", residual=float(residual), tolerance=0.0,
+            name=f"monomial({n})", residual=value, tolerance=0.0,
             passed=(residual == 0), params={"degree": n}))
     return VerificationReport(method="symbolic", checks=tuple(checks))
 
@@ -164,17 +170,21 @@ def verify_monte_carlo(op: DiffOperator, target: Target,
         draws = (x for _, x in sample_noncentral(target, seed, samples))
     totals = [0.0] * len(suite)
     totals_sq = [0.0] * len(suite)
-    for w in draws:
-        coefficients = _coefficient_values(op, w)
-        for i, f in enumerate(suite):
-            vals = _applied(coefficients, f, w)
-            totals[i] += float(vals.sum())
-            totals_sq[i] += float(np.dot(vals, vals))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for w in draws:
+            coefficients = _coefficient_values(op, w)
+            for i, f in enumerate(suite):
+                vals = _applied(coefficients, f, w)
+                totals[i] += float(vals.sum())
+                totals_sq[i] += float(np.dot(vals, vals))
     checks = []
     for f, total, total_sq in zip(suite, totals, totals_sq):
         mean = total / samples
         variance = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
         se = float(np.sqrt(variance / samples))
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise ValueError(
+                f"Monte Carlo sums of {f.name} are beyond float range")
         checks.append(CheckResult(
             name=f.name, residual=mean, tolerance=5.0 * se,
             passed=abs(mean) <= 5.0 * se,

@@ -73,7 +73,7 @@ def test_table1_rows():
     assert row4.extrema.maxima_floats() == [3.0]
     assert row4.extrema.minima_floats() == [-6.0, -6.0]
     assert not row4.conjectured
-    assert catalog("table1", n=2).leading_coefficient == Polynomial([0, 1])
+    assert catalog("table1(2)").leading_coefficient == Polynomial([0, 1])
     assert catalog("table1(5)").conjectured
     assert catalog("table1(5)").leading_coefficient == \
         Polynomial([27648, 0, -576, 0, 1])
@@ -81,10 +81,10 @@ def test_table1_rows():
     assert catalog("table1(6)").leading_coefficient == \
         Polynomial([-36000, -1200, 95, 1])
     # the suspected minimal orders that `conjecture` reports finds below
-    assert [catalog("table1", n=n).threshold_order for n in range(1, 7)] == \
+    assert [catalog(f"table1({n})").threshold_order for n in range(1, 7)] == \
         [None, None, None, None, 9, 6]
     with pytest.raises(ValueError):
-        catalog("table1", n=9)
+        catalog("table1(9)")
 
 
 def test_table1_leading_matches_operator_top():
@@ -94,11 +94,10 @@ def test_table1_leading_matches_operator_top():
         top = row.operator.coefficients[-1]
         assert top == row.leading_coefficient * ratio
     # row 2 records the top coefficient of the uncentered variant: shifting
-    # the centered operator up by one sends 2(1+x) to 2x
-    from steinforge.operators import translate_operator
+    # the centered operator up by one, p(x) to p(x - 1), sends 2(1+x) to 2x
     row2 = catalog("table1(2)")
-    shifted = translate_operator(row2.operator, 1)
-    assert shifted.coefficients[-1] == row2.leading_coefficient * 2
+    top = row2.operator.coefficients[-1].compose(Polynomial([-1, 1]))
+    assert top == row2.leading_coefficient * 2
 
 
 @pytest.mark.parametrize("key", ["normal", "centered-chi2", "h3", "h4"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from steinforge.cli import (PolynomialSyntaxError, build_parser, main,
-                            parse_polynomial)
+from steinforge.cli import (MAX_DIGITS, PolynomialSyntaxError, build_parser,
+                            main, parse_polynomial)
 from steinforge.derivation import derive_operator
 from steinforge.poly import Polynomial, hermite
 
@@ -477,6 +478,31 @@ def test_coefficient_beyond_float_range_is_64(coefficients, poly, methods, name,
     assert captured.err == f"error: {name} is beyond float range\n"
 
 
+@pytest.mark.parametrize("methods,err", [
+    ("symbolic", "error: residual of monomial(8) is beyond float range\n"),
+    ("mc", "error: Monte Carlo sums of sine(1) are beyond float range\n"),
+])
+def test_route_result_beyond_float_range_is_64(methods, err, tmp_path, capsys):
+    # each coefficient is a float, but the residual or the sum of squares
+    # the route forms from them is not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"coefficients": [["1e300"], ["1"]]}))
+    code = main(["verify", "--operator", str(path), "--poly", "x^3-3x",
+                 "--methods", methods, "--samples", "10000"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("key", ["table13", "table1)3(", "table1(03)", "table1(\u0663)"])
+def test_table1_key_is_matched_whole(key, capsys):
+    # only "table1(3)" spells row 3
+    assert main(["catalog", "show", key]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: \"unknown catalog key: {key!r}\"\n"
+
+
 class TestInputLimits:
     def test_exponent_at_cap_parses(self):
         assert parse_polynomial("x^1000").degree == 1000
@@ -507,8 +533,8 @@ class TestInputLimits:
         assert captured.out == ""
         assert captured.err == "error: order and degree bounds must be at most 64\n"
 
-    # one digit past the interpreter's int() limit
-    LONG = "9" * (sys.get_int_max_str_digits() + 1)
+    # one digit past the limit on input integers
+    LONG = "9" * (MAX_DIGITS + 1)
 
     def test_overlong_exponent_is_refused(self):
         with pytest.raises(PolynomialSyntaxError) as exc:
@@ -517,21 +543,53 @@ class TestInputLimits:
         assert parse_polynomial("x^" + "0" * len(self.LONG) + "3").degree == 3
 
     def test_overlong_poly_coefficient_is_refused(self):
-        limit = sys.get_int_max_str_digits()
         for text, position in ((f"x + {self.LONG}x^2", 4), (f"x - 1/{self.LONG}", 4)):
             with pytest.raises(PolynomialSyntaxError) as exc:
                 parse_polynomial(text)
             assert str(exc.value) == \
-                f"coefficient longer than {limit} digits at position {position}"
+                f"coefficient longer than {MAX_DIGITS} digits at position {position}"
 
     def test_overlong_coeffs_entry_is_refused(self, capsys):
         argv = ["derive", "--coeffs", f"0,1,{self.LONG}", "--order", "1", "--degree", "1"]
         assert main(argv) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: coefficient longer than "
-                                f"{sys.get_int_max_str_digits()} digits at index 2 "
-                                f"of --coeffs\n")
+        assert captured.err == (f"error: coefficient longer than {MAX_DIGITS} "
+                                f"digits at index 2 of --coeffs\n")
+
+    @pytest.mark.parametrize("entry", [f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS}",
+                                       "1e1_000_000", "0e2000000"])
+    def test_overlong_exponent_entry_is_refused(self, entry, tmp_path, capsys):
+        # Fraction() would build 10^|e| before anything else is checked
+        argv = ["derive", "--coeffs", f"0,{entry}", "--order", "1", "--degree", "1"]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: coefficient longer than {MAX_DIGITS} "
+                                f"digits at index 1 of --coeffs\n")
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"coefficients": [["1"], ["0", entry]]}))
+        assert main(["verify", "--operator", str(path), "--poly", "x"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: coefficient longer than {MAX_DIGITS} "
+                                f"digits at coefficients[1][1] of {path}\n")
+
+    def test_exponent_below_limit_is_read(self):
+        digits = MAX_DIGITS - 1
+        assert main(["derive", "--coeffs", f"0,1e{digits}", "--order", "1",
+                     "--degree", "1", "--format", "latex"]) == 0
+
+    def test_finished_derivation_prints_whole(self, capsys):
+        # the operator's coefficients are powers of the input's: longer than
+        # the interpreter prints by default, printed whole all the same
+        limit = sys.get_int_max_str_digits()
+        assert main(["derive", "--poly", "7" * 1200 + "x^3-3x", "--order", "5",
+                     "--degree", "2"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["status"] == "found"
+        assert max(map(len, re.findall(r"\d+", out))) > MAX_DIGITS
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("bounds", [(64, 1), (1, 64)])
     def test_bounds_at_cap_are_accepted(self, bounds):

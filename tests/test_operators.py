@@ -1,4 +1,4 @@
-"""Operator algebra: application, expectations, translation, moments."""
+"""Operators: application, expectations, normalization, moments."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,8 +10,7 @@ from steinforge.catalog import catalog, noncentral_chi2_operator, quadratic_oper
 from steinforge.operators import (DiffOperator, InsufficientSeeds,
                                   RecursionNotClosed, expectation_applied,
                                   moment_recursion, moment_relation,
-                                  normalize_operator, proportional_eq,
-                                  translate_operator)
+                                  normalize_operator, proportional_eq)
 from steinforge.poly import Polynomial, hermite, pushforward_moment
 
 H3 = hermite(3)
@@ -57,23 +56,16 @@ class TestExpectationApplied:
 
 
 class TestTranslate:
-    def test_quadratic_family_translation(self):
-        assert translate_operator(quadratic_operator(1, 0, 0), Fraction(5)) \
-            == quadratic_operator(1, 0, 5)
-
-    def test_translate_by_zero(self):
-        assert translate_operator(H3_OP, 0) == H3_OP
-
-    def test_roundtrip(self):
-        c = Fraction(3, 7)
-        assert translate_operator(translate_operator(H4_OP, c), -c) == H4_OP
-
     def test_translated_chi2_consistency(self):
-        # moving the squared-Gaussian operator down by 1 lands on the
-        # centered-chi-square one, up to the operator acting on f'
-        shifted = translate_operator(noncentral_chi2_operator(1, 0), -1)
-        centered = catalog("centered-chi2").operator
-        assert shifted + centered == centered.compose_derivative(1).scaled(2)
+        # moving the squared-Gaussian operator down by 1, p(x) to p(x + 1),
+        # lands on the centered-chi-square one C up to C acting on f':
+        # shifted + C = 2 C(f'), order by order
+        shifted = DiffOperator(tuple(p.compose(Polynomial([1, 1])) for p in
+                                     noncentral_chi2_operator(1, 0).coefficients))
+        centered = catalog("centered-chi2").operator.coefficients
+        zero = Polynomial.zero()
+        assert [p + c for p, c in zip(shifted.coefficients, centered + (zero,))] \
+            == [zero, *(2 * c for c in centered)]
         # both annihilate W = Z^2 - 1 symbolically
         P = Polynomial([-1, 0, 1])
         for n in range(12):
