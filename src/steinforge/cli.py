@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .catalog import catalog, catalog_keys, noncentral_chi2_operator
-from .derivation import check_bounds, derive_operator, minimal_scan
+from .derivation import check_scan, derive_operator, minimal_scan
 from .operators import DiffOperator, proportional_eq
 from .poly import Polynomial, hermite
 
@@ -222,7 +222,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_scan(args) -> int:
     P = _poly_from_args(args)
-    check_bounds(args.max_order, args.max_degree)
+    check_scan(P, args.max_order, args.max_degree)
     print(f"scanning orders 0..{args.max_order}, degrees 0..{args.max_degree}",
           file=sys.stderr)
     scan = minimal_scan(P, args.max_order, args.max_degree)
@@ -290,7 +290,7 @@ def _cmd_conjecture(args) -> int:
     P = hermite(n)
     row = catalog(f"table1({n})")
     conjectured = row.leading_coefficient
-    check_bounds(args.max_order, args.max_degree)
+    check_scan(P, args.max_order, args.max_degree)
     print(f"conjecture scan for Hermite order {n}: "
           f"orders 0..{args.max_order}, degrees 0..{args.max_degree}",
           file=sys.stderr)

@@ -44,29 +44,31 @@ an entry at phi has been divided by L at most phi_0 - phi times, phi_0 the
 largest input potential. E = phi_0 + 1 (`_depth_bound`) therefore makes
 every division exact, with 2 to spare, since cancelled entries have
 phi >= 2. Each division is still checked, so a wrong bound raises rather
-than giving a wrong normal form. Only the outputs become Fractions, one gcd
-per entry.
+than giving a wrong normal form.
 
 The identity (k, j) has the same coefficients at every level j, so the
-sweep commutes with shifting all levels by one amount. `_reduced_columns`
+sweep commutes with shifting all levels by one amount. `_grid_matrix`
 reduces P^d from level M once and reads every column (m, d), m <= M, off
 that sweep: its level 0 is level M - m just before that level is swept,
 and its other levels are the residues of the levels above, shifted down by
-M - m. D + 1 sweeps of M levels give the (M + 1)(D + 1) columns.
+M - m. D + 1 sweeps of M levels give the (M + 1)(D + 1) columns, all over
+the one scale of degree D, written as ints straight into one matrix.
 
-So one exact solver, `_solve_cell`, decides a cell from its reduced columns.
-`derive_operator` reduces the cell's columns and solves once. `minimal_scan`
-reduces each grid column once; cell (m, d) is then a column subset, feasible
-exactly when those columns are linearly dependent, and only the cells that a
-rank test mod a prime cannot rule out reach the exact kernel.
+So one exact solver, `_solve_cell`, decides a cell from its rows, a column
+selection of that matrix. `derive_operator` builds the cell's matrix and
+solves once. `minimal_scan` builds the grid's matrix once; cell (m, d) is
+then a column subset, feasible exactly when those columns are linearly
+dependent, and only the cells that a rank test mod a prime cannot rule out
+reach the exact kernel. No Fraction is made between `poly.power_table` and
+the kernel.
 
 The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
-row is cleared of denominators, and one elimination modulo the prime
-p = 2^31 - 1, in Python ints, picks r pivot rows and columns. Rank mod p <= rank over Q, so
-a cell with no free column mod p is infeasible for certain. Otherwise
-fraction-free Bareiss elimination on the r x r pivot minor gives one
-integer vector per free column, and an exact check A v = 0 on every row
-gates them: k independent kernel vectors, when the nullity is at most
+row of a cell is divided by its gcd, and one elimination modulo the prime
+p = 2^31 - 1, in Python ints, picks r pivot rows and columns. Rank mod
+p <= rank over Q, so a cell with no free column mod p is infeasible for
+certain. Otherwise fraction-free Bareiss elimination on the r x r pivot
+minor gives one integer vector per free column, and an exact check A v = 0
+on every row gates them: k independent kernel vectors, when the nullity is at most
 k = ncols - r, span the kernel. A vector that fails the check shows rank
 over Q above r, and the Fraction `_nullspace` decides the cell instead.
 The reduced row echelon basis of the kernel is unique, so the operator and
@@ -82,17 +84,17 @@ from typing import Iterable, Optional
 
 from .operators import DiffOperator, normalize_operator
 from .poly import Polynomial, power_table
-from .terms import ExpectationVector, Term, term_order
+from .terms import ExpectationVector, Term
 
 
 class DerivationError(ValueError):
     pass
 
 
-# Largest order or coefficient-degree bound of a derive or scan. The column
-# reduction allocates M + 1 levels per degree, each as wide as p*d + 1 (plus
-# M for p = 1), and a scan decides (M + 1)(D + 1) cells. On a 2-core x86_64
-# host derive_operator(x, M, 0) takes 0.19, 0.97 and 6.0 s (245 MB) at
+# Largest order or coefficient-degree bound of a derive or scan. The grid
+# matrix's sweep allocates M + 1 levels per degree, each as wide as p*D + 1
+# (plus M for p = 1), and a scan decides (M + 1)(D + 1) cells. On a 2-core
+# x86_64 host derive_operator(x, M, 0) takes 0.19, 0.97 and 6.0 s (245 MB) at
 # M = 250, 500 and 1000, and minimal_scan(x, M, M) 0.4 s at 32 and 7.8 s at
 # 64; the grids in use reach 20x16 (H9).
 MAX_BOUND = 64
@@ -108,6 +110,14 @@ def check_bounds(max_order: int, max_coeff_degree: int) -> None:
 
 class DegeneratePushforward(DerivationError):
     """P is constant: W carries no randomness to integrate by parts."""
+
+
+def check_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> None:
+    """Refuse a scan's input before any work: bounds as `check_bounds`,
+    then a constant P, whose grid has no identity to search."""
+    check_bounds(max_order, max_coeff_degree)
+    if P.degree < 1:
+        raise DegeneratePushforward("P is constant")
 
 
 @dataclass(frozen=True)
@@ -286,7 +296,7 @@ def _reduce(P: Polynomial, terms: dict[Term, Fraction]):
 
     The identity (k, j) has the same coefficients at every level j, so the
     sweep commutes with shifting every level by the same amount:
-    `_reduced_columns` reads all orders of one degree off one sweep.
+    `_grid_matrix` reads all orders of one degree off one sweep.
     """
     a, q = _cleared_derivative(P)
     p = len(a)
@@ -306,40 +316,56 @@ def _reduce(P: Polynomial, terms: dict[Term, Fraction]):
     return nf, multipliers
 
 
-def _reduced_columns(P: Polynomial, M: int,
-                     D: int) -> dict[tuple[int, int], dict[Term, Fraction]]:
-    """Normal form of the image of every basis operator x^d f^(m), m <= M,
-    d <= D, keyed (m, d): the coefficients of P^d on level m, reduced.
+def _grid_matrix(P: Polynomial, M: int, D: int) -> list[list[int]]:
+    """The normal forms of the images of every basis operator x^d f^(m),
+    m <= M, d <= D, as one integer matrix over the scale r^D * L^E: a row
+    per term in term order, all-zero rows left out, and column m*(D + 1) + d.
 
     One sweep per degree d reduces P^d from level M. By the level-shift
     invariance (`_reduce`), column (m, d) is that sweep shifted down by
     M - m: its level 0 is level M - m as it stood just before its own
     sweep, and its level j >= 1 is the residue (z-powers below p - 1) of
     level M - m + j. The powers r^d P^d, r the lcm of P's denominators,
-    come from the integer table of `poly.power_table`; P^d's sweep runs
-    over the scale r^d * L^E.
+    come from the integer table of `poly.power_table` and are lifted by
+    r^(D - d) * L^E; the depth bound E of degree D covers every lower
+    degree. Scaling all columns by one constant keeps their kernel.
     """
     a, q = _cleared_derivative(P)
     p = len(a)
     r, powers, _ = power_table(P, D)
-    columns = {}
+    lift = a[-1] ** _depth_bound(p, [(p * D, M)])
+    # rows: (i, 0) for i < width, then (i, h) at width + (h - 1)(p - 1) + i
+    width = p * D + 1 + (M if p == 1 else 0)
+    rows = [[0] * ((M + 1) * (D + 1)) for _ in range(width + M * (p - 1))]
     for d, power in enumerate(powers):
-        lift = a[-1] ** _depth_bound(p, [(p * d, M)])
-        scale = r ** d * lift
-        width = p * d + 1 + (M if p == 1 else 0)
         levels = [[0] * width for _ in range(M + 1)]
-        levels[M][:len(power)] = [c * lift for c in power]
-        residues: dict[Term, Fraction] = {}  # of the swept levels, by level
+        scale = r ** (D - d) * lift
+        levels[M][:len(power)] = [c * scale for c in power]
         for j in range(M, -1, -1):
-            column = {(i, 0): Fraction(c, scale)
-                      for i, c in enumerate(levels[j]) if c}
-            column.update(((i, h - j), v) for (i, h), v in residues.items())
-            columns[(M - j, d)] = column
+            column = (M - j) * (D + 1) + d
+            for i, c in enumerate(levels[j]):
+                rows[i][column] = c
+            for h in range(j + 1, M + 1):
+                base = width + (h - j - 1) * (p - 1)
+                for i, c in enumerate(levels[h][:p - 1]):
+                    rows[base + i][column] = c
             if j:
                 _sweep_level(levels[j], levels[j - 1], a, q)
-                residues.update(((i, j), Fraction(c, scale))
-                                for i, c in enumerate(levels[j][:p - 1]) if c)
-    return columns
+    return [row for row in rows if any(row)]
+
+
+def _cell_rows(grid: list[list[int]], D: int, m: int, d: int) -> list[list[int]]:
+    """The rows of cell (m, d) of a grid of degree bound D: the columns
+    m' * (D + 1) + d', m' <= m, d' <= d, each row divided by its gcd, the
+    all-zero ones left out. Scaling a row keeps the kernel."""
+    columns = [mm * (D + 1) + dd for mm in range(m + 1) for dd in range(d + 1)]
+    rows = []
+    for row in grid:
+        cell = [row[c] for c in columns]
+        g = math.gcd(*cell)
+        if g:
+            rows.append([v // g for v in cell])
+    return rows
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -384,25 +410,6 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 # 2^31 - 1. Rank mod p never exceeds rank over Q, and a prime this large
 # rarely makes it drop below; products of two residues stay below 2^62.
 _PRIME = 2_147_483_647
-
-
-def _integer_rows(columns: list[dict[Term, Fraction]]) -> list[list[int]]:
-    """The matrix of `columns`, one row per term in term order, each row
-    multiplied by the lcm of its denominators. Scaling a row keeps every
-    dependency among the columns, so this integer matrix has the same kernel
-    as the rational one, for any subset of its columns."""
-    entries: dict[Term, list[tuple[int, Fraction]]] = {}
-    for c, col in enumerate(columns):
-        for t, v in col.items():
-            entries.setdefault(t, []).append((c, v))
-    rows = []
-    for t in sorted(entries, key=term_order):
-        scale = math.lcm(*[v.denominator for _, v in entries[t]])
-        row = [0] * len(columns)
-        for c, v in entries[t]:
-            row[c] = v.numerator * (scale // v.denominator)
-        rows.append(row)
-    return rows
 
 
 def _residues(rows: list[list[int]], columns: Iterable[int]) -> list[list[int]]:
@@ -536,23 +543,17 @@ def _exact_kernel(rows: list[list[int]], ncols: int,
     return _nullspace([[Fraction(v) for v in row] for row in rows], ncols)
 
 
-def _cell_rows(reduced: dict[tuple[int, int], dict[Term, Fraction]],
-               M: int, D: int) -> list[list[int]]:
-    return _integer_rows([reduced[(m, d)] for m in range(M + 1)
-                          for d in range(D + 1)])
-
-
-def _solve_cell(P: Polynomial, reduced: dict[tuple[int, int], dict[Term, Fraction]],
+def _solve_cell(P: Polynomial, rows: list[list[int]],
                 bounds: SearchBounds) -> Optional[DerivationResult]:
     """Exact solve of cell (M, D) = (bounds.max_order, bounds.max_coeff_degree).
 
-    `reduced` maps (m, d) to the normal form of x^d f^(m) for at least every
-    m <= M, d <= D. `_exact_kernel` decides the cell on the integer form of
-    those columns. Returns the found result, with the certificate replayed
-    through `_reduce`, or None when the cell's columns are independent.
+    `rows` are the cell's rows (`_cell_rows`), column m*(D + 1) + d the
+    normal form of x^d f^(m). `_exact_kernel` decides the cell on them.
+    Returns the found result, with the certificate replayed through
+    `_reduce`, or None when the cell's columns are independent.
     """
     M, D = bounds.max_order, bounds.max_coeff_degree
-    kernel = _exact_kernel(_cell_rows(reduced, M, D), (M + 1) * (D + 1))
+    kernel = _exact_kernel(rows, (M + 1) * (D + 1))
     if not kernel:
         return None
 
@@ -604,8 +605,9 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
             basis=(op,))
 
     bounds = default_bounds(P, max_order, max_coeff_degree)
-    reduced = _reduced_columns(P, max_order, max_coeff_degree)
-    result = _solve_cell(P, reduced, bounds)
+    grid = _grid_matrix(P, max_order, max_coeff_degree)
+    result = _solve_cell(P, _cell_rows(grid, max_coeff_degree, max_order,
+                                       max_coeff_degree), bounds)
     if result is not None:
         return result
     rounds = max(deepen_rounds, 0)
@@ -686,14 +688,11 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
       later cell needs only its status.
     The residue rank only rules cells out, and only where that is certain.
     """
-    check_bounds(max_order, max_coeff_degree)
-    if P.degree < 1:
-        raise DegeneratePushforward("P is constant")
+    check_scan(P, max_order, max_coeff_degree)
     M, D = max_order, max_coeff_degree
-    cells = [(m, d) for m in range(M + 1) for d in range(D + 1)]
-    reduced = _reduced_columns(P, M, D)
-    residues = _residues(_integer_rows([reduced[c] for c in cells]), range(len(cells)))
-    grid: dict[tuple[int, int], str] = {}
+    grid = _grid_matrix(P, M, D)
+    residues = _residues(grid, range((M + 1) * (D + 1)))
+    status: dict[tuple[int, int], str] = {}
     found: list[tuple[int, int]] = []
     minimal = None
     result = None
@@ -709,16 +708,17 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
             elif d < full_rank_below:
                 feasible = False
             elif result is None:
-                result = _solve_cell(P, reduced, default_bounds(P, m, d))
+                result = _solve_cell(P, _cell_rows(grid, D, m, d),
+                                     default_bounds(P, m, d))
                 feasible = result is not None
                 if feasible:
                     minimal = (m, d)
             else:
-                feasible = bool(_exact_kernel(_cell_rows(reduced, m, d),
+                feasible = bool(_exact_kernel(_cell_rows(grid, D, m, d),
                                               (m + 1) * (d + 1), first_only=True))
             if feasible:
                 found.append((m, d))
-            grid[(m, d)] = "found" if feasible else "infeasible-at-bounds"
+            status[(m, d)] = "found" if feasible else "infeasible-at-bounds"
     return ScanResult(poly=P, max_order=max_order,
                       max_coeff_degree=max_coeff_degree,
-                      grid=grid, minimal=minimal, result=result)
+                      grid=status, minimal=minimal, result=result)

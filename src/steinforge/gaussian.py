@@ -128,7 +128,7 @@ def _normal_chunk(seed: int, index: int) -> np.ndarray:
 
     Uniforms come from a counter-based Philox stream and are mapped through
     the Box-Muller transform, so chunk i is the same regardless of how many
-    chunks were drawn before it or on which thread.
+    chunks were drawn before it.
     """
     key = np.array([seed % (1 << 64), index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))

@@ -1,9 +1,8 @@
-"""Noncentral chi-square: density, density rule and sampling.
+"""Noncentral chi-square: density and density rule.
 
 The density route exists because this law is a k-fold sum rather than a
 single polynomial pushforward, so the symbolic annihilation path does not
-apply; verification integrates the operator against the density instead,
-and for integer degrees of freedom a sampling route cross-checks it.
+apply; verification integrates the operator against the density instead.
 
 Density rule. E[h(X)] is integrated over (0, density_cutoff()) by one
 composite rule of equal panels with PANEL_NODES nodes each: Gauss-Jacobi
@@ -29,11 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-from .gaussian import _CHUNK, _normal_chunk, chunk_indices
 
 
 @dataclass(frozen=True)
@@ -50,16 +47,6 @@ class NoncentralParams:
             raise ValueError("degrees of freedom must be positive")
         if self.lam < 0:
             raise ValueError("noncentrality must be nonnegative")
-
-    def component_means(self) -> tuple[float, ...]:
-        """Means (sqrt(lam), 0, ..., 0) of the k summands, for sampling.
-
-        The law of sum (Z_i + mu_i)^2 depends on the means only through k
-        and lam = sum mu_i^2, so one choice of means serves every sample.
-        """
-        if self.k != int(self.k):
-            raise ValueError("sampling requires integer degrees of freedom")
-        return (math.sqrt(self.lam),) + (0.0,) * (int(self.k) - 1)
 
     @property
     def mean(self) -> float:
@@ -255,17 +242,3 @@ def resolved_density_integral(params: NoncentralParams, func,
         if abs(value - previous) <= 0.1 * tol:
             return ResolvedIntegral(value, panels, True)
     return ResolvedIntegral(value, panels, False)
-
-
-def sample_noncentral(params: NoncentralParams, seed: int,
-                      total: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Chunked deterministic draws of X = sum (Z_i + mu_i)^2, integer k only.
-
-    Component i consumes the Philox stream keyed by (seed, (i+1) << 40 | chunk),
-    so the draw sequence is independent of chunk scheduling.
-    """
-    mus = params.component_means()
-    for idx in chunk_indices(total):
-        x = sum((_normal_chunk(seed, ((comp + 1) << 40) + idx) + mu) ** 2
-                for comp, mu in enumerate(mus))
-        yield idx, x[:total - idx * _CHUNK]

@@ -29,18 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .gaussian import chunk_indices, chunk_normals, gauss_hermite_rule
-from .noncentral import (NoncentralParams, resolved_density_integral,
-                         sample_noncentral)
+from .noncentral import NoncentralParams, resolved_density_integral
 from .operators import DiffOperator, moment_relation
 from .poly import Polynomial, power_table
 from .testfunctions import TestFunction, default_suite
-
-Target = Union[Polynomial, NoncentralParams]
 
 # Largest n whose Gauss-Hermite rule builds in float64. exp(-z^2/4) underflows
 # to 0 beyond z = 54.57; the outermost node is 54.56 at n = 765 and 54.60 at
@@ -147,27 +144,24 @@ def verify_quadrature(op: DiffOperator, P: Polynomial,
     return VerificationReport(method="quadrature", checks=tuple(checks))
 
 
-def verify_monte_carlo(op: DiffOperator, target: Target,
+def verify_monte_carlo(op: DiffOperator, P: Polynomial,
                        suite: Sequence[TestFunction] = (),
                        samples: int = 1_000_000, seed: int = 0) -> VerificationReport:
     """Seeded Monte Carlo estimate of E[(A f)(W)] per suite function, each
     behind a 5-standard-error gate.
 
     Sampling is chunked by (seed, chunk index), so the estimate is identical
-    regardless of chunking or threading. Each chunk is drawn once and the
-    operator's coefficients are evaluated on it once; every suite function
-    keeps its own running sums, added chunk by chunk in the same order.
+    regardless of chunking. Each chunk is drawn once and the operator's
+    coefficients are evaluated on it once; every suite function keeps its
+    own running sums, added chunk by chunk in the same order.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
     if samples > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES:.0e} Monte Carlo samples")
     suite = tuple(suite) or default_suite()
-    if isinstance(target, Polynomial):
-        draws = (target.eval_float(chunk_normals(seed, idx, samples))
-                 for idx in chunk_indices(samples))
-    else:
-        draws = (x for _, x in sample_noncentral(target, seed, samples))
+    draws = (P.eval_float(chunk_normals(seed, idx, samples))
+             for idx in chunk_indices(samples))
     totals = [0.0] * len(suite)
     totals_sq = [0.0] * len(suite)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below

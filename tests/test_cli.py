@@ -516,6 +516,11 @@ class TestInputLimits:
         captured = capsys.readouterr()
         assert captured.out == "" and "exponent above 1000" in captured.err
 
+    CONSTANT_P_SCANS = [
+        ["scan", "--poly", "5", "--max-order", "1", "--max-degree", "1"],
+        ["scan", "--coeffs=0,0", "--max-order", "1", "--max-degree", "1"],
+    ]
+
     @pytest.mark.parametrize("argv", [
         ["derive", "--poly", "x", "--order", "65", "--degree", "0"],
         ["derive", "--poly", "x", "--order", "0", "--degree", "65"],
@@ -523,15 +528,20 @@ class TestInputLimits:
         ["scan", "--poly", "x", "--max-order", "65", "--max-degree", "0"],
         ["scan", "--poly", "x", "--max-order", "0", "--max-degree", "10000"],
         ["conjecture", "--hermite", "5", "--max-order", "65", "--max-degree", "1"],
+        *CONSTANT_P_SCANS,
     ])
     def test_bounds_above_cap_are_refused_first(self, argv, monkeypatch, capsys):
+        # a scan of a constant P is refused by the same check, also before
+        # its progress line
         def refuse(*args):
             raise AssertionError("columns reduced before the bounds were checked")
-        monkeypatch.setattr("steinforge.derivation._reduced_columns", refuse)
+        monkeypatch.setattr("steinforge.derivation._grid_matrix", refuse)
         assert main(argv) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: order and degree bounds must be at most 64\n"
+        reason = "P is constant" if argv in self.CONSTANT_P_SCANS \
+            else "order and degree bounds must be at most 64"
+        assert captured.err == f"error: {reason}\n"
 
     # one digit past the limit on input integers
     LONG = "9" * (MAX_DIGITS + 1)

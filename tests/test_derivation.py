@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -12,15 +13,15 @@ from steinforge import derivation
 from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationError, DerivationResult, ScanResult,
-                                   SearchBounds, _PRIME, _reduce,
-                                   _reduced_columns, _exact_kernel,
-                                   _integer_rows, _nullspace, _residue_pivots,
-                                   _residues, _rref, default_bounds, derive_operator,
+                                   SearchBounds, _PRIME, _cell_rows, _reduce,
+                                   _exact_kernel, _grid_matrix, _nullspace,
+                                   _residue_pivots, _residues, _rref,
+                                   default_bounds, derive_operator,
                                    ibp_identity, minimal_scan, operator_image,
                                    verify_certificate)
 from steinforge.operators import DiffOperator, proportional_eq
 from steinforge.poly import Polynomial, hermite
-from steinforge.terms import ExpectationVector
+from steinforge.terms import ExpectationVector, term_order
 
 X = Polynomial.x()
 H3 = hermite(3)
@@ -276,10 +277,11 @@ class TestScan:
 
 class TestExactKernel:
     @staticmethod
-    def columns(matrix):
-        """Column dicts of a dense matrix, with row i as the term (i, 0)."""
-        return [{(i, 0): row[c] for i, row in enumerate(matrix) if row[c] != 0}
-                for c in range(len(matrix[0]))]
+    def integer_rows(matrix):
+        """The nonzero rows of a rational matrix, each times the lcm of its
+        denominators."""
+        return [[int(v * scale) for v in row] for row in matrix if any(row)
+                for scale in [math.lcm(*[v.denominator for v in row])]]
 
     @settings(deadline=None, max_examples=200)
     @given(rational_matrices())
@@ -291,7 +293,7 @@ class TestExactKernel:
         # same row space after _rref as the Fraction reference, whether the
         # residue rank is right or the gate has to fall back
         ncols = len(matrix[0])
-        rows = _integer_rows(self.columns(matrix))
+        rows = self.integer_rows(matrix)
         reference = _nullspace([row[:] for row in matrix], ncols)
         kernel = [[Fraction(v) for v in vec] for vec in _exact_kernel(rows, ncols)]
         assert _rref(kernel) == _rref(reference)
@@ -328,7 +330,7 @@ class TestExactKernel:
     @given(matrix=rational_matrices())
     def test_residue_pivots_match_dense_reference(self, prime, matrix):
         ncols = len(matrix[0])
-        rows = _integer_rows(self.columns(matrix))
+        rows = self.integer_rows(matrix)
         with mock.patch.object(derivation, "_PRIME", prime):
             got = list(_residue_pivots(_residues(rows, range(ncols))))
         assert got == self.dense_pivots(rows, ncols, prime)
@@ -507,21 +509,60 @@ def test_reduction_matches_identities_within_cell_caps(P, m, d):
     assert all(j == 0 or i < p - 1 for i, j in nf)
 
 
+def _grid_reference(P, M, D):
+    """The Fraction matrix of `_reduce`'s normal form of each grid column
+    x^d f^(m), m <= M, d <= D: rows in term order, column m*(D + 1) + d."""
+    columns = [_reduce(P, operator_image(
+        DiffOperator.single(m, Polynomial.monomial(d)), P).as_dict())[0]
+        for m in range(M + 1) for d in range(D + 1)]
+    terms = sorted(set().union(*columns), key=term_order)
+    return [[column.get(t, Fraction(0)) for column in columns] for t in terms]
+
+
+def _grid_matches(grid, reference, P, M, D):
+    """Whether `grid` holds ints only, is `reference` times the scale
+    r^D * L^E, and gives every sub-cell (m, d) the reference's kernel.
+
+    r is the lcm of P's denominators, L the lead of P' cleared of its
+    denominators, and E one more than the largest potential i + j (i + 2j
+    for deg P = 1) of the top level's terms (p*D, M)."""
+    p = P.degree
+    lead = P.derivative().coeffs
+    L = lead[-1] * math.lcm(*[c.denominator for c in lead])
+    E = (p * D + M if p >= 2 else D + 2 * M) + 1
+    scale = math.lcm(*[c.denominator for c in P.coeffs]) ** D * L ** E
+    if len(grid) != len(reference) or any(
+            type(g) is not int or g != scale * f
+            for grow, frow in zip(grid, reference) for g, f in zip(grow, frow)):
+        return False
+    for m in range(M + 1):
+        for d in range(D + 1):
+            cols = [mm * (D + 1) + dd for mm in range(m + 1) for dd in range(d + 1)]
+            want = _nullspace([[row[c] for c in cols] for row in reference], len(cols))
+            got = _exact_kernel(_cell_rows(grid, D, m, d), len(cols))
+            if _rref([[Fraction(v) for v in vec] for vec in got]) != _rref(want):
+                return False
+    return True
+
+
 @settings(deadline=None, max_examples=40)
-@given(rational_polys(), st.integers(0, 6), st.integers(0, 4))
-@example(Polynomial([Fraction(1, 2), Fraction(3, 2)]), 6, 4)
-@example(Polynomial([2, Fraction(-1, 2)]), 5, 3)
-@example(Polynomial([0, Fraction(1, 2), Fraction(1, 3)]), 6, 4)
-@example(Polynomial([1, 0, -1, 0, 0, Fraction(3, 2)]), 4, 4)
-def test_reduced_columns_match_per_column_reduction(P, M, D):
-    # one sweep per degree, read at every level, gives each column's own
-    # reduction: degree 1 (padded lists), leads 3/2 and -1/2, and P' with
-    # denominators (q > 1)
-    columns = _reduced_columns(P, M, D)
-    assert set(columns) == {(m, d) for m in range(M + 1) for d in range(D + 1)}
-    for (m, d), column in columns.items():
-        image = operator_image(DiffOperator.single(m, Polynomial.monomial(d)), P)
-        assert column == _reduce(P, image.as_dict())[0]
+@given(rational_polys(), st.integers(0, 6), st.integers(0, 4),
+       st.integers(0, 999), st.integers(0, 999))
+@example(Polynomial([Fraction(1, 2), Fraction(3, 2)]), 6, 4, 0, 0)
+@example(Polynomial([2, Fraction(-1, 2)]), 5, 3, 7, 5)
+@example(Polynomial([0, Fraction(1, 2), Fraction(1, 3)]), 6, 4, 0, 0)
+@example(Polynomial([1, 0, -1, 0, 0, Fraction(3, 2)]), 4, 4, 3, 11)
+@example(H3, 5, 4, 20, 29)
+def test_grid_matrix_matches_per_column_reduction(P, M, D, row, col):
+    # one sweep per degree over one scale, read at every level, gives each
+    # column's own reduction: degree 1 (padded lists), leads 3/2 and -1/2,
+    # P' with denominators (q > 1), and H3's found cells
+    grid = _grid_matrix(P, M, D)
+    reference = _grid_reference(P, M, D)
+    assert _grid_matches(grid, reference, P, M, D)
+    # negative control: one entry off by one is caught
+    grid[row % len(grid)][col % len(grid[0])] += 1
+    assert not _grid_matches(grid, reference, P, M, D)
 
 
 def test_too_small_scale_raises(monkeypatch):

@@ -10,14 +10,12 @@ from scipy import special
 
 from steinforge import noncentral
 from steinforge.catalog import noncentral_chi2_operator
-from steinforge.gaussian import _normal_chunk
 from steinforge.noncentral import (NoncentralParams, _density_rule,
                                    _log_density_factor, bessel_i,
-                                   density_integral, noncentral_pdf,
-                                   sample_noncentral)
+                                   density_integral, noncentral_pdf)
 from steinforge.operators import DiffOperator
-from steinforge.testfunctions import default_suite, gaussian_bump, sine
-from steinforge.verify import verify_monte_carlo, verify_noncentral_operator
+from steinforge.testfunctions import gaussian_bump, sine
+from steinforge.verify import verify_noncentral_operator
 
 PAIRS = [(1.0, 1.0), (2.0, 0.5), (4.0, 3.0)]
 
@@ -62,10 +60,6 @@ class TestParams:
     def test_non_finite_rejected(self, k, lam):
         with pytest.raises(ValueError, match="finite"):
             NoncentralParams(k=k, lam=lam)
-
-    def test_default_means(self):
-        p = NoncentralParams(k=3, lam=4.0)
-        assert p.component_means() == (2.0, 0.0, 0.0)
 
 
 class TestDensity:
@@ -291,47 +285,3 @@ def _mpmath_residual(k: float, lam: float, name: str, cutoff: float) -> float:
         value = (mpmath.quad(integrand, [0, 1])
                  + mpmath.quad(integrand, points, method="gauss-legendre"))
         return float(value)
-
-
-class TestSampling:
-    def test_chunked_determinism(self):
-        params = NoncentralParams(k=2, lam=0.5)
-        a = np.concatenate([x for _, x in sample_noncentral(params, 7, 100_000)])
-        b = np.concatenate([x for _, x in sample_noncentral(params, 7, 100_000)])
-        assert np.array_equal(a, b)
-
-    def test_draws_match_componentwise_reference(self):
-        # component i of chunk c is the Philox chunk keyed ((i+1) << 40) + c,
-        # truncated at the stream end; the last chunk here is partial
-        params = NoncentralParams(k=3, lam=2.0)
-        total = 150_000
-        chunks = list(sample_noncentral(params, 9, total))
-        assert [idx for idx, _ in chunks] == [0, 1, 2]
-        for idx, x in chunks:
-            size = min(1 << 16, total - idx * (1 << 16))
-            want = np.zeros(size)
-            for comp, mu in enumerate(params.component_means()):
-                z = _normal_chunk(9, ((comp + 1) << 40) + idx)[:size]
-                want += (z + mu) ** 2
-            assert np.array_equal(x, want)
-
-    def test_sample_moments(self):
-        params = NoncentralParams(k=4, lam=3.0)
-        x = np.concatenate([c for _, c in sample_noncentral(params, 3, 1_000_000)])
-        assert x.mean() == pytest.approx(params.mean, abs=5 * math.sqrt(
-            params.variance / 1e6))
-
-    def test_mc_agrees_with_density_route(self):
-        params = NoncentralParams(k=2, lam=0.5)
-        mc = verify_monte_carlo(
-            __import__("steinforge.catalog", fromlist=["noncentral_chi2_operator"])
-            .noncentral_chi2_operator(2, 0.5),
-            params, [sine(1.0)], samples=1_000_000, seed=21)
-        density = verify_noncentral_operator(params, [sine(1.0)])
-        assert mc.passed and density.passed
-        se = mc.checks[0].params["standard_error"]
-        assert abs(mc.checks[0].residual - density.checks[0].residual) <= 5 * se
-
-    def test_fractional_k_cannot_sample(self):
-        with pytest.raises(ValueError):
-            NoncentralParams(k=2.5, lam=1.0).component_means()
