@@ -1,21 +1,37 @@
 """Gauss-Hermite quadrature and seeded Gaussian sampling, in float64.
 
-The weight is the standard Gaussian density exp(-x^2/2)/sqrt(2*pi). The
-exact quantities these are checked against, Hermite polynomials and Gaussian
-moments, live in `poly`, which loads no numpy.
+The weight is the standard Gaussian density exp(-x^2/2)/sqrt(2*pi). Rules
+are built with numpy alone (golub_welsch, which noncentral's Gauss-Jacobi
+panel rule shares) and checked against exact Gaussian moments.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
-
-from .poly import gaussian_moment
 
 
 class QuadratureValidationError(RuntimeError):
     """A constructed rule failed its exactness check against known moments."""
+
+
+def _scaled_moments(scale: float, count: int) -> list[float]:
+    """E[Z^k] / scale^k for k < count, each correctly rounded.
+
+    One int true division per k over running integer powers of scale's
+    exact ratio: Python rounds int / int correctly, as float(Fraction)
+    does, so these are the values float(gaussian_moment(k) /
+    Fraction(scale) ** k) without a Fraction power per k.
+    """
+    num, den = scale.as_integer_ratio()
+    moment, num_k, den_k = 1, 1, 1
+    out = []
+    for k in range(count):
+        if k:
+            num_k *= num
+            den_k *= den
+            if k % 2 == 0:
+                moment *= k - 1
+        out.append(moment * den_k / num_k if k % 2 == 0 else 0.0)
+    return out
 
 
 def _validate_rule(nodes: np.ndarray, weights: np.ndarray, rtol: float = 1e-12) -> None:
@@ -29,16 +45,14 @@ def _validate_rule(nodes: np.ndarray, weights: np.ndarray, rtol: float = 1e-12) 
         raise QuadratureValidationError("nodes not strictly increasing")
     # Exactness check up to degree 2n-1. Powers are computed on nodes scaled
     # by the largest node so that nothing overflows even at n ~ 200, and the
-    # reference moment is rescaled exactly through Fraction before rounding.
+    # reference moment is rescaled exactly before rounding.
     scale = float(np.max(np.abs(nodes))) if n > 1 else 1.0
     scaled = nodes / scale
     powers = weights.copy()
-    for k in range(0, 2 * n):
+    for k, expected in enumerate(_scaled_moments(scale, 2 * n)):
         if k > 0:
             powers = powers * scaled
         got = float(powers.sum())
-        expected_exact = gaussian_moment(k) / (Fraction(scale) ** k if k else 1)
-        expected = float(expected_exact)
         if 0.0 < expected < 1e-250:
             # scaled reference leaves the reliable float64 range (only
             # reachable for n well above 201); nothing left to compare
@@ -54,21 +68,55 @@ def _validate_rule(nodes: np.ndarray, weights: np.ndarray, rtol: float = 1e-12) 
                 f"moment {k} mismatch at n={n}: {got!r} vs {expected!r}")
 
 
-def _orthonormal_hermite_values(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Damped values q_k = p_k * exp(-x^2/4) of the orthonormal Hermite
-    polynomials p_0..p_n at x.
+def _damped_recurrence(x: np.ndarray, diag: np.ndarray, off: np.ndarray,
+                       log_weight) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped orthonormal polynomials q_k = d * p_k at x, d^2 proportional to
+    the weight function at x (largest d^2 = 1).
 
-    Returns (q_n(x), sum of q_k(x)^2 for k < n). The damping factor is
-    constant in k, so the three-term recurrence is unchanged, ratios equal
-    the undamped ratios, and magnitudes stay bounded for any practical n.
+    Returns (q_n(x), q_n'(x), sum of q_k(x)^2 for k < n, d^2), where q_n'
+    stands for d * p_n'. The damping is constant in k, so q_k and d * p_k'
+    follow the undamped three-term recurrence and its derivative, ratios
+    equal the undamped ratios, and magnitudes stay bounded where p_k grows
+    like 1 / sqrt(weight).
     """
-    prev = np.exp(-0.25 * x * x)
-    total = prev * prev
-    cur = x * prev
-    for k in range(1, n):
-        total = total + cur * cur
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return cur, total
+    lw = log_weight(x)
+    q = np.exp(0.5 * (lw - lw.max()))
+    damping_sq = q * q
+    total = damping_sq
+    q_prev = dq = dq_prev = np.zeros_like(x)
+    for k in range(len(diag)):
+        if k:
+            total = total + q * q
+        b = off[k - 1] if k else 0.0
+        q_prev, q, dq_prev, dq = (
+            q, ((x - diag[k]) * q - b * q_prev) / off[k],
+            dq, ((x - diag[k]) * dq + q - b * dq_prev) / off[k])
+    return q, dq, total, damping_sq
+
+
+def golub_welsch(diag: np.ndarray, off: np.ndarray,
+                 log_weight) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of len(diag) nodes for a weight function w, with weights
+    proportional to the Christoffel numbers (callers scale them).
+
+    The orthonormal polynomials of w satisfy
+        x p_k = off[k] p_(k+1) + diag[k] p_k + off[k-1] p_(k-1),
+    so off holds len(diag) entries and only its last is outside the Jacobi
+    matrix; log_weight(x) is log w(x) up to a constant. Following Golub &
+    Welsch (Math. Comp. 1969), the nodes start as the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix (numpy's eigvalsh, so no scipy) and
+    are polished by three Newton steps on the damped recurrence, which reach
+    the float64 fixed point; the weights are 1 / sum_k p_k(x_i)^2 from the
+    polished recurrence, which keeps the small ones to full relative
+    precision where eigenvector weights do not.
+    """
+    jacobi = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    nodes = np.linalg.eigvalsh(jacobi)
+    for _ in range(3):
+        q, dq, _, _ = _damped_recurrence(nodes, diag, off, log_weight)
+        nodes = nodes - q / dq
+    _, _, total, damping_sq = _damped_recurrence(nodes, diag, off, log_weight)
+    return nodes, damping_sq / total
 
 
 # Built rules by n. The arrays are read-only, so sharing them is safe.
@@ -80,13 +128,12 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     as read-only float64 arrays (nodes, weights).
 
     Weights sum to 1; nodes are strictly increasing and sign-symmetric, and
-    the rule integrates z^k exactly for k <= 2n-1. Nodes start as
-    eigenvalues of the symmetric tridiagonal Jacobi matrix of the Hermite
-    recurrence (off-diagonal sqrt(k)) and are polished by Newton steps on
-    the orthonormal recurrence; weights are the Christoffel numbers
-    1 / sum_k p_k(x_i)^2. The rule is checked against exact moments up to
-    degree 2n-1 before being returned. Built rules are cached by n; a build
-    that fails raises again on the next call.
+    the rule integrates z^k exactly for k <= 2n-1. golub_welsch builds it
+    from the Hermite recurrence (diagonal 0, off-diagonal sqrt(k)) with
+    numpy alone, damping by exp(-z^2/4) up to a constant; the nodes and
+    weights are then made exactly +/- symmetric. The rule is checked against exact moments
+    up to degree 2n-1 before being returned. Built rules are cached by n; a
+    build that fails raises again on the next call.
     """
     if n in _RULES:
         return _RULES[n]
@@ -96,20 +143,8 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.array([0.0])
         weights = np.array([1.0])
     else:
-        # lazy: commands that never integrate numerically start faster
-        from scipy.linalg import eigh_tridiagonal
-        diag = np.zeros(n)
-        off = np.sqrt(np.arange(1.0, n))
-        nodes, _ = eigh_tridiagonal(diag, off, select="a")
-        # Newton polish: p_n'(x) = sqrt(n) p_{n-1}(x); eigenvalues are close
-        # enough that three steps reach the float64 fixed point.
-        for _ in range(3):
-            pn, _ = _orthonormal_hermite_values(nodes, n)
-            pn1, _ = _orthonormal_hermite_values(nodes, n - 1)
-            nodes = nodes - pn / (math.sqrt(n) * pn1)
-        _, sumsq = _orthonormal_hermite_values(nodes, n)
-        weights = np.exp(-0.5 * nodes * nodes) / sumsq
-        # enforce exact +/- symmetry of the nodes and weights
+        nodes, weights = golub_welsch(np.zeros(n), np.sqrt(np.arange(1.0, n + 1)),
+                                      lambda z: -0.5 * z * z)
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
         weights = weights / weights.sum()
@@ -136,9 +171,10 @@ def _normal_chunk(seed: int, index: int) -> np.ndarray:
     u1 = 1.0 - u[0::2]  # in (0, 1]: keeps log() finite
     u2 = u[1::2]
     r = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
     out = np.empty(_CHUNK)
-    out[0::2] = r * np.cos(2.0 * np.pi * u2)
-    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    out[0::2] = r * np.cos(angle)
+    out[1::2] = r * np.sin(angle)
     return out
 
 

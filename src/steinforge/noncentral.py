@@ -17,9 +17,10 @@ twice as many and doubles until two consecutive estimates agree within
 tol/10, up to MAX_PANELS. A density verdict uses the finer estimate and
 passes only when the gate resolved.
 
-scipy. The rule needs scipy.special only (ive, gammaln, roots_jacobi; the
-last loads scipy.linalg), imported inside the functions that use it, so
-importing this module loads no scipy. bessel_i and noncentral_pdf are the
+scipy. The rule needs scipy.special only for ive, imported inside the
+function that uses it, so importing this module loads no scipy. The
+Gauss-Jacobi panel rule is built by gaussian.golub_welsch with numpy
+alone, so scipy.linalg never loads. bessel_i and noncentral_pdf are the
 per-point series reference that tests compare the rule against; the series
 overflows for large lam * x, the rule does not.
 """
@@ -31,6 +32,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .gaussian import golub_welsch
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def _log_density_factor(x: np.ndarray, params: NoncentralParams) -> np.ndarray:
     nu = k/2 - 1, and with I_nu(z) = ive(nu, z) e^z the exponentials meet as
     -(sqrt(x) - sqrt(lam))^2 / 2, so nothing overflows at any lam.
     """
-    from scipy.special import gammaln, ive
+    from scipy.special import ive
     half_k = 0.5 * params.k
     y = 0.25 * params.lam * x
     series = y <= half_k
@@ -136,7 +139,7 @@ def _log_density_factor(x: np.ndarray, params: NoncentralParams) -> np.ndarray:
     for j in range(1, 21):
         term = term * ys / ((half_k + j - 1.0) * j)
         total = total + term
-    out[series] = (np.log(total) - gammaln(half_k)
+    out[series] = (np.log(total) - math.lgamma(half_k)
                    - 0.5 * (x[series] + params.lam))
     xb = x[~series]
     z = np.sqrt(params.lam * xb)
@@ -155,9 +158,22 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=32)
 def _jacobi_rule(power: float) -> tuple[np.ndarray, np.ndarray]:
     """PANEL_NODES-node Gauss-Jacobi rule on (-1, 1) for the weight
-    (1 + t)^power, as read-only arrays (nodes, weights)."""
-    from scipy.special import roots_jacobi
-    return _read_only(*roots_jacobi(PANEL_NODES, 0.0, power))
+    (1 + t)^power, as read-only arrays (nodes, weights).
+
+    gaussian.golub_welsch builds it from the orthonormal Jacobi recurrence
+    (alpha = 0, beta = power), and the weights are scaled to the weight's
+    mass 2^(power+1) / (power+1). That mass is formed first, so a power too
+    large for float64 raises OverflowError before any array work.
+    """
+    mass = 2.0 ** (power + 1.0) / (power + 1.0)
+    k = np.arange(1.0, PANEL_NODES + 1)
+    s = 2.0 * k + power
+    off = 2.0 * k * (k + power) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    diag = np.empty(PANEL_NODES)
+    diag[0] = power / (power + 2.0)
+    diag[1:] = power * power / (s[:-1] * (s[:-1] + 2.0))
+    nodes, weights = golub_welsch(diag, off, lambda t: power * np.log1p(t))
+    return _read_only(nodes, weights * (mass / weights.sum()))
 
 
 @lru_cache(maxsize=None)

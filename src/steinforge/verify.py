@@ -16,7 +16,10 @@ standard-error gate, so a correct operator fails a single test with
 probability below 1e-6. One Monte Carlo pass serves the whole suite: each
 chunk is drawn once, P and the operator's coefficients are evaluated on it
 once, and each function keeps its own running sums, so every function's
-estimate is the one a pass of its own would give.
+estimate is the one a pass of its own would give. Every route applies the
+operator through the factored derivatives of `testfunctions`, so each
+transcendental factor of a test function (sin, cos or exp) is evaluated
+once per point set, not once per derivative order.
 
 Noncentral chi-square has no polynomial pushforward; its density route
 integrates (A f) against the density by the composite rule of `noncentral`
@@ -110,9 +113,17 @@ def _coefficient_values(op: DiffOperator, w: np.ndarray) -> list[tuple[int, np.n
 
 def _applied(coefficients: list[tuple[int, np.ndarray]], f: TestFunction,
              w: np.ndarray) -> np.ndarray:
-    total = 0.0
+    """(A f) at w from its coefficient values: for each transcendental factor
+    g of f, the values p_m(w) c_m(w) of the orders m whose derivative
+    carries g are summed first, so each g is evaluated once on w."""
+    factored = f.factored(w, max((m for m, _ in coefficients), default=0))
+    sums: dict[int, np.ndarray] = {}
     for m, values in coefficients:
-        total = total + values * f.derivative(w, m)
+        index, c = factored[m]
+        sums[index] = sums[index] + values * c if index in sums else values * c
+    total = 0.0
+    for index, partial in sums.items():
+        total = total + partial * f.factor(w, index)
     return total
 
 

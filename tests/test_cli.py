@@ -327,17 +327,30 @@ class TestColdStart:
         assert loaded_modules("import steinforge.cli") == set()
 
     def test_numerical_routes_load_scipy(self):
-        # negative control: the probe sees scipy once a route needs it
+        # Gauss rules are built with numpy alone; the density route still
+        # loads scipy.special (for ive), the negative control that shows the
+        # probe sees scipy once a route needs it
         rule = loaded_modules(
             "import steinforge.cli\n"
             "from steinforge.gaussian import gauss_hermite_rule\n"
             "gauss_hermite_rule(201)")
-        assert "scipy.linalg" in rule and "scipy.integrate" not in rule
+        assert rule == set()
         density = loaded_modules(
             "import steinforge.cli\n"
             "from steinforge.noncentral import NoncentralParams, density_integral\n"
             "density_integral(NoncentralParams(k=2, lam=1), lambda x: 1.0)")
-        assert "scipy.special" in density and "scipy.integrate" not in density
+        assert "scipy.special" in density
+        assert "scipy.linalg" not in density and "scipy.integrate" not in density
+
+    def test_verify_and_noncentral_leave_scipy_linalg_unloaded(self):
+        run = ("import contextlib, io\nfrom steinforge.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert main(['verify', '--catalog', 'h3', '--methods',\n"
+               "                 'symbolic,quadrature,mc', '--samples', '20000']) in (0, 1)\n"
+               "    assert main(['noncentral', '--k', '3', '--lambda', '1',\n"
+               "                 '--verify']) == 0\n")
+        loaded = loaded_modules(run)
+        assert "scipy.special" in loaded and "scipy.linalg" not in loaded
 
     def test_exact_commands_load_no_numpy(self):
         # derive, scan, conjecture and catalog run on the exact engine alone;
@@ -411,8 +424,9 @@ def test_noncentral_lambda_beyond_bessel_range_is_a_usage_error(k, capsys):
 @pytest.mark.parametrize("k", ["400", "600", "1e7"])
 def test_noncentral_k_beyond_float64_rule_is_a_usage_error(k, capsys):
     # the first panel's Gauss-Jacobi weights times its half-width to the
-    # power k/2 overflow (at 1e7 inside roots_jacobi); warnings are errors
-    # here, so a usage error also shows that none reached stderr
+    # power k/2 overflow (at 1e7 already in the rule's mass 2^(k/2));
+    # warnings are errors here, so a usage error also shows that none
+    # reached stderr
     code = main(["noncentral", "--k", k, "--lambda", "1", "--verify"])
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""

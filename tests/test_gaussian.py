@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
-                                 chunk_normals, gauss_hermite_rule)
+from steinforge import gaussian
+from steinforge.gaussian import (QuadratureValidationError, _scaled_moments,
+                                 _validate_rule, chunk_indices, chunk_normals,
+                                 gauss_hermite_rule)
 from steinforge.poly import (Polynomial, gaussian_moment, hermite, power_table,
                              pushforward_moment)
 from test_derivation import rational_polys
@@ -157,6 +159,19 @@ def test_chunk_is_independent_of_the_stream_length():
                               chunk_normals(3, 1, 200_000))
 
 
+@pytest.mark.parametrize("seed,index", [(0, 0), (7, 3), (2 ** 64 + 5, 1), (12345, 40)])
+def test_chunk_bytes_match_the_two_angle_expression(seed, index):
+    # Box-Muller with the angle 2 pi u2 formed once gives the bits of the
+    # expression that formed it once for cos and once for sin
+    key = np.array([seed % (1 << 64), index], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(gaussian._CHUNK)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    want = np.empty(gaussian._CHUNK)
+    want[0::2] = r * np.cos(2.0 * np.pi * u[1::2])
+    want[1::2] = r * np.sin(2.0 * np.pi * u[1::2])
+    assert gaussian._normal_chunk(seed, index).tobytes() == want.tobytes()
+
+
 def test_sampler_clt_bounds():
     x = _stream(12345, 1_000_000)
     assert abs(x.mean()) <= 5e-3
@@ -180,10 +195,25 @@ def test_quadrature_matches_exact_moment(n, k):
 
 
 def test_validation_rejects_corrupt_rule():
-    from steinforge.gaussian import _validate_rule
     nodes, weights = gauss_hermite_rule(5)
     weights = weights.copy()
     weights[0] *= 1 + 1e-9
     weights[-1] *= 1 - 1e-9
+    with pytest.raises(QuadratureValidationError):
+        _validate_rule(nodes, weights / weights.sum())
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 201, 765])
+def test_scaled_moments_equal_the_fraction_reference(n):
+    scale = float(np.max(np.abs(gauss_hermite_rule(n)[0])))
+    want = [float(gaussian_moment(k) / Fraction(scale) ** k) for k in range(2 * n)]
+    assert _scaled_moments(scale, 2 * n) == want
+
+
+def test_validation_rejects_one_weight_off_by_1e_10():
+    nodes, weights = gauss_hermite_rule(201)
+    _validate_rule(nodes, weights)  # the unperturbed rule passes
+    weights = weights.copy()
+    weights[100] *= 1 + 1e-10  # the centre node's weight, the largest
     with pytest.raises(QuadratureValidationError):
         _validate_rule(nodes, weights / weights.sum())

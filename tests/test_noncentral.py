@@ -206,17 +206,37 @@ class TestOperatorChecks:
         assert all(c.params["resolved"] for c in report.checks)
 
 
+@pytest.mark.parametrize("power", [-0.5, 0.0, 0.25, 0.5, 1.0, 4.0, 49.0, 149.0, 199.0])
+def test_jacobi_rule_matches_references(power):
+    # nodes against scipy's roots_jacobi; weights against a 40-digit mpmath
+    # rule to 1e-13, and against scipy to 2e-12, since scipy's own weights
+    # are up to 9e-13 off the mpmath rule (at power 149)
+    import mpmath
+    nodes, weights = noncentral._jacobi_rule(power)
+    scipy_nodes, scipy_weights = special.roots_jacobi(noncentral.PANEL_NODES, 0.0, power)
+    with mpmath.workdps(40):
+        ref_nodes, ref_weights = mpmath.gauss_quadrature(
+            noncentral.PANEL_NODES, "jacobi", 0, mpmath.mpf(power))
+        ref_weights = np.array([float(w) for w in ref_weights])
+    assert np.max(np.abs(nodes - scipy_nodes)) <= 1e-14
+    assert np.max(np.abs(nodes - [float(x) for x in ref_nodes])) <= 1e-14
+    kept = ref_weights > 1e-290
+    assert kept.any()
+    assert np.max(np.abs(weights - ref_weights)[kept] / ref_weights[kept]) <= 1e-13
+    assert np.max(np.abs(weights - scipy_weights)[kept] / scipy_weights[kept]) <= 2e-12
+
+
 class TestRuleCache:
     @pytest.mark.parametrize("k,lam,panels", [(1.0, 2.0, 32), (2.5, 1.0, 64),
                                               (2.0, 0.0, 1), (10.0, 200.0, 128)])
     def test_density_rule_matches_fresh_reference_rules(self, k, lam, panels,
                                                         monkeypatch):
         # the cached per-k reference rules give the bits that fresh
-        # roots_jacobi and leggauss calls give
+        # Gauss-Jacobi and leggauss builds give
         params = NoncentralParams(k=k, lam=lam)
         cached = _density_rule(params, panels)
-        monkeypatch.setattr(noncentral, "_jacobi_rule", lambda power:
-                            special.roots_jacobi(noncentral.PANEL_NODES, 0.0, power))
+        monkeypatch.setattr(noncentral, "_jacobi_rule",
+                            noncentral._jacobi_rule.__wrapped__)
         monkeypatch.setattr(noncentral, "_legendre_rule", lambda:
                             np.polynomial.legendre.leggauss(noncentral.PANEL_NODES))
         fresh = _density_rule.__wrapped__(params, panels)
@@ -235,13 +255,13 @@ class TestRuleCache:
         noncentral._jacobi_rule.cache_clear()
         noncentral._legendre_rule.cache_clear()
         built = []
-        original = special.roots_jacobi
-        monkeypatch.setattr(special, "roots_jacobi",
-                            lambda *a: built.append(a) or original(*a))
+        original = noncentral.golub_welsch
+        monkeypatch.setattr(noncentral, "golub_welsch",
+                            lambda diag, *a: built.append(diag[0]) or original(diag, *a))
         for lam in (0.5, 1.5):
             for panels in (8, 16):
                 _density_rule(NoncentralParams(k=3.0, lam=lam), panels)
-        assert built == [(noncentral.PANEL_NODES, 0.0, 0.5)]
+        assert built == [0.5 / 2.5]  # one build, for power k/2 - 1 = 0.5
         assert noncentral._legendre_rule.cache_info().misses == 1
 
     @pytest.mark.parametrize("k", [2.0, 3.0])

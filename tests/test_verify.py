@@ -45,6 +45,53 @@ class TestTestFunctions:
         with pytest.raises(ValueError):
             sine(1.0).derivative(0.0, 13)
 
+    @staticmethod
+    def _direct(f, x, m, flip_quadrant=None):
+        # the per-order formulas, one transcendental call per order; with
+        # flip_quadrant set, the sign of the derivatives whose phase
+        # m + s falls in that quadrant mod 4 is flipped (a negative control)
+        if f.kind == "monomial":
+            n = int(f.param)
+            return math.prod(range(n - m + 1, n + 1)) * x ** (n - m) if m <= n else 0.0 * x
+        if f.kind == "gaussian-bump":
+            return (-1.0) ** m * hermite(m).eval_float(x) * np.exp(-0.5 * x * x)
+        w = f.param
+        value = w ** m * (np.sin if f.kind == "sine" else np.cos)(w * x + m * np.pi / 2.0)
+        shift = int(f.kind == "cosine")
+        return -value if (m + shift) % 4 == flip_quadrant else value
+
+    def _factored_agrees(self, f, flip_quadrant=None):
+        x = np.linspace(-50.0, 50.0, 2001)
+        for m in range(13):
+            want = self._direct(f, x, m, flip_quadrant)
+            magnitude = float(np.max(np.abs(want)))
+            if np.max(np.abs(f.derivative(x, m) - want)) > 1e-12 * magnitude:
+                return False
+        return True
+
+    @pytest.mark.parametrize("f", [sine(1.0), sine(2.5), cosine(0.5), cosine(3.0),
+                                   gaussian_bump(), monomial(6), monomial(12)])
+    def test_factored_derivatives_match_the_per_order_formulas(self, f):
+        assert self._factored_agrees(f)
+
+    @pytest.mark.parametrize("f", [sine(1.0), cosine(0.5)])
+    @pytest.mark.parametrize("quadrant", [0, 1, 2, 3])
+    def test_one_flipped_quadrant_is_caught(self, f, quadrant):
+        assert not self._factored_agrees(f, flip_quadrant=quadrant)
+
+    def test_each_transcendental_factor_once_per_chunk(self, monkeypatch):
+        # h3 has orders 0-5: one Monte Carlo chunk evaluates sin and cos of
+        # x and of x/2 and one exp, not one call per order and function
+        from steinforge.testfunctions import TestFunction
+        calls = []
+        original = TestFunction.factor
+        monkeypatch.setattr(TestFunction, "factor", lambda self, x, index:
+                            calls.append((self.name, index)) or original(self, x, index))
+        verify_monte_carlo(catalog("h3").operator, H3, default_suite(),
+                           samples=gaussian._CHUNK, seed=1)
+        assert sorted(calls) == [("cosine(0.5)", 0), ("cosine(0.5)", 1),
+                                 ("gaussian-bump", 0), ("sine(1)", 0), ("sine(1)", 1)]
+
     def test_names(self):
         assert sine(1.0).name == "sine(1)"
         assert cosine(0.5).name == "cosine(0.5)"
@@ -313,6 +360,50 @@ def test_mutation_controls_all_detected():
     results_n = mutation_controls(catalog("normal").operator, Polynomial([0, 1]),
                                   default_suite())
     assert results_n and all(detected for _, _, detected in results_n)
+
+
+# (order, degree, detected) per catalog key, as the per-order test functions
+# gave them before the derivatives were factored
+MUTATION_TRIPLES = {
+    "normal": [(0, 0, True), (0, 1, True), (1, 0, True)],
+    "centered-chi2": [(0, 0, True), (0, 1, True), (1, 0, True), (1, 1, True)],
+    "h3": [(0, 0, True), (0, 1, True), (1, 0, True), (2, 0, True), (2, 1, True),
+           (3, 0, True), (3, 1, True), (3, 2, True), (4, 0, True), (4, 1, True),
+           (5, 0, True), (5, 1, True), (5, 2, True)],
+    "h4": [(0, 0, True), (0, 1, True), (1, 0, True), (1, 1, True), (2, 0, True),
+           (2, 1, True), (2, 2, True), (3, 0, True), (3, 1, True), (3, 2, True)],
+    "quadratic": [(0, 0, True), (0, 1, True), (1, 0, True), (1, 1, True),
+                  (2, 0, True), (2, 1, True)],
+}
+
+
+@pytest.mark.parametrize("key", sorted(MUTATION_TRIPLES))
+def test_mutation_control_verdicts_are_pinned(key):
+    entry = catalog(key)
+    assert mutation_controls(entry.operator, entry.pushforward) == MUTATION_TRIPLES[key]
+
+
+@pytest.mark.parametrize("key,failing,only_there", [("h3", ["sine(1)"], 8),
+                                                    ("h4", ["sine(1)", "cosine(0.5)",
+                                                            "gaussian-bump"], 10)])
+def test_known_red_quadrature_legs_and_mutant_counts(key, failing, only_there):
+    # the 201-node rule fails these legs of the unmutated operator by more
+    # than 1, and the mutation_controls docstring counts the mutants that are
+    # detected only there
+    entry = catalog(key)
+    report = verify_quadrature(entry.operator, entry.pushforward)
+    assert [c.name for c in report.checks if not c.passed] == failing
+    assert all(abs(c.residual) > 1.0 for c in report.checks if not c.passed)
+    passing = [f for f, c in zip(default_suite(), report.checks) if c.passed]
+    rows = [list(p.coeffs) for p in entry.operator.coefficients]
+    only = 0
+    for m, d, _ in MUTATION_TRIPLES[key]:
+        mutant_rows = [list(r) for r in rows]
+        mutant_rows[m] += [0] * (d + 1 - len(mutant_rows[m]))
+        mutant_rows[m][d] += 1
+        mutant = DiffOperator.from_rows(mutant_rows)
+        only += not passing or verify_quadrature(mutant, entry.pushforward, passing).passed
+    assert only == only_there
 
 
 def test_verify_all_refuses_an_empty_method_list():
