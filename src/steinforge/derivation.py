@@ -64,15 +64,25 @@ the kernel.
 
 The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
 row of a cell is divided by its gcd, and one elimination modulo the prime
-p = 2^31 - 1, in Python ints, picks r pivot rows and columns. Rank mod
-p <= rank over Q, so a cell with no free column mod p is infeasible for
-certain. Otherwise fraction-free Bareiss elimination on the r x r pivot
-minor gives one integer vector per free column, and an exact check A v = 0
-on every row gates them: k independent kernel vectors, when the nullity is at most
-k = ncols - r, span the kernel. A vector that fails the check shows rank
-over Q above r, and the Fraction `_nullspace` decides the cell instead.
-The reduced row echelon basis of the kernel is unique, so the operator and
-basis reported do not depend on which vectors spanned it.
+p = 2^31 - 1, in Python ints, picks r pivot rows and columns, taking the
+columns last to first. Rank mod p <= rank over Q, so a cell with no free
+column mod p is infeasible for certain. Otherwise fraction-free Bareiss
+elimination on the r x r pivot minor gives one integer vector per free
+column f: nonzero at f, zero at every other free column. An exact check on
+every row gates them: A v = 0, and v zero at every column below f. Then the
+k = ncols - r vectors are independent kernel vectors, and the nullity is at
+most k, so they span the kernel. A vector that fails the check shows that
+the residues lost rank, over the whole matrix or over the columns above f,
+and the Fraction `_nullspace`, eliminating in the same order, decides the
+cell instead.
+
+So both paths give the kernel's basis in one canonical form, by
+construction: in increasing leading column, each vector's leading column
+is its own free column and every other vector is zero there. That is the
+kernel's reduced row echelon basis up to the scale of each vector, and it
+is unique, so the operator and basis reported do not depend on the path;
+`normalize_operator` fixes each scale. The first vector has the smallest
+leading column, hence the lexicographically smallest support.
 """
 from __future__ import annotations
 
@@ -394,16 +404,23 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    rows = [row for row in rows if any(v != 0 for v in row)]
-    rows, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Kernel basis of the Fraction matrix `rows` in canonical form.
+
+    The columns are eliminated last to first, as `_exact_kernel` takes them:
+    `_rref` runs on the rows reversed, so a free column f depends only on
+    the pivot columns above it. Its vector is 1 at f, zero at the other free
+    columns and below f; the vectors come in increasing f.
+    """
+    flipped, pivots = _rref([row[::-1] for row in rows if any(row)])
     basis = []
-    for fc in free:
+    for fc in range(ncols - 1, -1, -1):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
+            vec[pc] = -flipped[r][fc]
+        basis.append(vec[::-1])
     return basis
 
 
@@ -509,18 +526,15 @@ def _annihilates(rows: list[list[int]], vec: list[int]) -> bool:
 
 def _exact_kernel(rows: list[list[int]], ncols: int,
                   first_only: bool = False) -> list[list]:
-    """Vectors spanning the kernel of the integer matrix `rows`; with
-    `first_only`, one nonzero kernel vector if there is one. [] means the
-    kernel is zero.
+    """The kernel basis of the integer matrix `rows`, in the canonical form
+    the module docstring proves; with `first_only`, one nonzero kernel
+    vector if there is one. [] means the kernel is zero.
 
-    One elimination mod _PRIME picks r pivot rows and columns. With no free
-    column the columns have full rank mod p, hence over Q (rank mod p <=
-    rank over Q), and the kernel is zero. Otherwise `_bareiss_kernel` gives
-    one vector per free column, and an exact integer check A v = 0 on every
-    row gates them: k = ncols - r vectors that pass are independent (each
-    has a nonzero entry at its own free column only), and the nullity is at
-    most k, so they span the kernel. A vector that fails shows rank over Q
-    above r; then `_nullspace` decides.
+    The residues, taken from the last column to the first, pick r pivots;
+    no free column means full rank mod p, hence over Q. `_bareiss_kernel`
+    gives one vector per free column f, in increasing f. The gate, A v = 0
+    and v zero below f, passes them as the basis, or sends the cell to
+    `_nullspace` when the residues lost rank.
     """
     # Eliminating from the last column (highest order and degree) first
     # keeps the leading minors, which bound every Bareiss entry, smaller in
@@ -536,9 +550,10 @@ def _exact_kernel(rows: list[list[int]], ncols: int,
             pivots.append((r, order[c]))
     if not free:
         return []
-    vectors = _bareiss_kernel(rows, ncols, pivots,
-                              free[:1] if first_only else free)
-    if all(_annihilates(rows, v) for v in vectors):
+    free = free[::-1][:1] if first_only else free[::-1]
+    vectors = _bareiss_kernel(rows, ncols, pivots, free)
+    if all(not any(v[:f]) and _annihilates(rows, v)
+           for v, f in zip(vectors, free)):
         return vectors
     return _nullspace([[Fraction(v) for v in row] for row in rows], ncols)
 
@@ -548,35 +563,27 @@ def _solve_cell(P: Polynomial, rows: list[list[int]],
     """Exact solve of cell (M, D) = (bounds.max_order, bounds.max_coeff_degree).
 
     `rows` are the cell's rows (`_cell_rows`), column m*(D + 1) + d the
-    normal form of x^d f^(m). `_exact_kernel` decides the cell on them.
-    Returns the found result, with the certificate replayed through
-    `_reduce`, or None when the cell's columns are independent.
+    normal form of x^d f^(m). `_exact_kernel` decides the cell on them, and
+    its vectors, in canonical form (module docstring), are the basis; the
+    operator is the first. Returns the found result, with the certificate
+    replayed through `_reduce`, or None when the cell's columns are
+    independent.
     """
     M, D = bounds.max_order, bounds.max_coeff_degree
     kernel = _exact_kernel(rows, (M + 1) * (D + 1))
     if not kernel:
         return None
-
-    # canonical reduced basis over the operator coordinates (unique for the
-    # kernel, whichever vectors span it), then the vector with
-    # lexicographically smallest support
-    basis, _ = _rref([[Fraction(v) for v in vec] for vec in kernel])
-
-    def support_key(vec):
-        return tuple(i for i, v in enumerate(vec) if v != 0)
-
-    def build(vec) -> DiffOperator:
-        return normalize_operator(DiffOperator(tuple(
-            Polynomial(vec[m * (D + 1):(m + 1) * (D + 1)]) for m in range(M + 1))))
-
-    op = build(min(basis, key=support_key))
+    basis = tuple(normalize_operator(DiffOperator(tuple(
+        Polynomial(vec[m * (D + 1):(m + 1) * (D + 1)]) for m in range(M + 1))))
+        for vec in kernel)
+    op = basis[0]
     nf, multipliers = _reduce(P, operator_image(op, P).as_dict())
     if nf:
         raise AssertionError("reduction of an admissible operator must vanish")
     return DerivationResult(
         status="found", poly=P, bounds_used=bounds, operator=op,
         certificate=Certificate(multipliers), nullspace_dim=len(basis),
-        basis=tuple(build(vec) for vec in basis))
+        basis=basis)
 
 
 def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
@@ -662,17 +669,6 @@ class ScanResult:
         }
 
 
-def _first_uncertain_column(columns: list[list[int]]) -> int:
-    """Index of the first of `columns` that depends on the earlier ones mod
-    _PRIME; the number of columns if none does.
-
-    Every shorter prefix has full column rank over Q: a minor that is
-    nonzero mod p is nonzero over Q.
-    """
-    return next((c for c, row in _residue_pivots(columns) if row is None),
-                len(columns))
-
-
 def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanResult:
     """Feasibility status of every (order, degree) cell plus the first found
     cell in order-then-degree lexicographic order, with its full result.
@@ -699,8 +695,12 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     for m in range(M + 1):
         # order <= m columns by degree, so cell (m, d) is a prefix
         columns = [(mm, d) for d in range(D + 1) for mm in range(m + 1)]
-        first = _first_uncertain_column(
+        # every prefix before the first column that depends on the earlier
+        # ones mod _PRIME has full column rank over Q (a minor nonzero mod p
+        # is nonzero over Q)
+        first = next((c for c, row in _residue_pivots(
             [residues[mm * (D + 1) + d][:] for mm, d in columns])
+            if row is None), len(columns))
         full_rank_below = columns[first][1] if first < len(columns) else D + 1
         for d in range(D + 1):
             if any(fm <= m and fd <= d for fm, fd in found):

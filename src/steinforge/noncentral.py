@@ -7,10 +7,10 @@ apply; verification integrates the operator against the density instead.
 Density rule. E[h(X)] is integrated over (0, density_cutoff()) by one
 composite rule of equal panels with PANEL_NODES nodes each: Gauss-Jacobi
 with weight x^(k/2-1) on the first panel, so the endpoint power (a
-singularity for k < 2) is integrated exactly, and Gauss-Legendre on the
-others. The weights carry the smooth rest of the density,
-pdf(x) / x^(k/2-1), computed in log space, so no lam overflows it. The
-integrand is called once, on the whole node array.
+singularity for k < 2) is integrated exactly, and Gauss-Legendre, which is
+Gauss-Jacobi with power 0, on the others. The weights carry the smooth rest
+of the density, pdf(x) / x^(k/2-1), computed in log space, so no lam
+overflows it. The integrand is called once, on the whole node array.
 
 Resolution gate. resolved_density_integral starts at FIRST_PANELS against
 twice as many and doubles until two consecutive estimates agree within
@@ -19,10 +19,10 @@ passes only when the gate resolved.
 
 scipy. The rule needs scipy.special only for ive, imported inside the
 function that uses it, so importing this module loads no scipy. The
-Gauss-Jacobi panel rule is built by gaussian.golub_welsch with numpy
-alone, so scipy.linalg never loads. bessel_i and noncentral_pdf are the
-per-point series reference that tests compare the rule against; the series
-overflows for large lam * x, the rule does not.
+Gauss-Jacobi rule of every panel is built by gaussian.golub_welsch with
+numpy alone, so scipy.linalg never loads. bessel_i and noncentral_pdf are
+the per-point series reference that tests compare the rule against; the
+series overflows for large lam * x, the rule does not.
 """
 from __future__ import annotations
 
@@ -158,7 +158,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=32)
 def _jacobi_rule(power: float) -> tuple[np.ndarray, np.ndarray]:
     """PANEL_NODES-node Gauss-Jacobi rule on (-1, 1) for the weight
-    (1 + t)^power, as read-only arrays (nodes, weights).
+    (1 + t)^power, as read-only arrays (nodes, weights); power 0 is the
+    Gauss-Legendre rule.
 
     gaussian.golub_welsch builds it from the orthonormal Jacobi recurrence
     (alpha = 0, beta = power), and the weights are scaled to the weight's
@@ -176,12 +177,6 @@ def _jacobi_rule(power: float) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nodes, weights * (mass / weights.sum()))
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """PANEL_NODES-node Gauss-Legendre rule on (-1, 1), read-only."""
-    return _read_only(*np.polynomial.legendre.leggauss(PANEL_NODES))
-
-
 @lru_cache(maxsize=32)
 def _density_rule(params: NoncentralParams,
                   panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +184,11 @@ def _density_rule(params: NoncentralParams,
 
     `panels` equal panels of PANEL_NODES nodes each: Gauss-Jacobi with weight
     x^(k/2-1) on the first, so the endpoint power is integrated exactly, and
-    Gauss-Legendre on the rest. The reference rules are built once per k;
-    the arrays are cached and read-only. ValueError marks a rule that does not
-    build in float64: the first panel's weights overflow at large k (400 at
-    lam = 1), and scipy.special.ive is NaN for sqrt(lam x) above about 1e9.
+    Gauss-Legendre, `_jacobi_rule(0.0)`, on the rest. The reference rules are
+    built once per power; the arrays are cached and read-only. ValueError
+    marks a rule that does not build in float64: the first panel's weights
+    overflow at large k (400 at lam = 1), and scipy.special.ive is NaN for
+    sqrt(lam x) above about 1e9.
     """
     if panels < 1:
         raise ValueError("need at least one panel")
@@ -209,7 +205,7 @@ def _density_rule(params: NoncentralParams,
             f"weights, scaled by its half-width to the power k/2, overflow") from None
     first = 0.5 * width * (t + 1.0)
     first_w = first_w * np.exp(_log_density_factor(first, params))
-    u, wl = _legendre_rule()
+    u, wl = _jacobi_rule(0.0)
     left = width * np.arange(1, panels)[:, None]
     rest = (left + 0.5 * width * (u + 1.0)).ravel()
     rest_w = np.tile(0.5 * width * wl, panels - 1) * np.exp(

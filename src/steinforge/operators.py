@@ -111,17 +111,15 @@ def normalize_operator(op: DiffOperator) -> DiffOperator:
     num_gcd = 0
     for p in op.coefficients:
         for v in p.coeffs:
-            if v != 0:
-                denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-                num_gcd = math.gcd(num_gcd, abs(v.numerator))
-    out = op.scaled(Fraction(denom_lcm, num_gcd))
-    p0 = out.coefficients[0]
+            denom_lcm = math.lcm(denom_lcm, v.denominator)
+            num_gcd = math.gcd(num_gcd, v.numerator)
+    # the scale is positive up to the sign, so the convention reads off op
+    p0 = op.coefficients[0]
     if not p0.is_zero:
         flip = p0.leading_coefficient > 0
     else:
-        first = next(p for p in out.coefficients if not p.is_zero)
-        flip = first.leading_coefficient < 0
-    return out.scaled(-1) if flip else out
+        flip = next(p for p in op.coefficients if not p.is_zero).leading_coefficient < 0
+    return op.scaled(Fraction(-denom_lcm if flip else denom_lcm, num_gcd))
 
 
 def proportional_eq(op1: DiffOperator, op2: DiffOperator

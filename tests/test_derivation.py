@@ -58,6 +58,26 @@ def rational_matrices(draw):
     return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
 
 
+# Rank 2 with a 2-dimensional kernel; taken last column first, its residues
+# lose rank at column 2 although the whole matrix keeps rank 2 mod _PRIME
+# (test_gate_rejects_a_vector_nonzero_below_its_free_column).
+RESIDUE_SHAPE_TRAP = [[Fraction(v) for v in row]
+                      for row in ([0, 0, 1, 1], [1, 1, _PRIME, 0])]
+
+
+def _proportional_vectors(got, want) -> bool:
+    """Whether `got` and `want` have the same length and each vector of
+    `got` is a nonzero multiple of the one of `want` at its index."""
+    if len(got) != len(want):
+        return False
+    for g, w in zip(got, want):
+        lead = next(c for c, v in enumerate(w) if v)
+        scale = Fraction(g[lead]) / w[lead]
+        if scale == 0 or any(a != scale * b for a, b in zip(g, w)):
+            return False
+    return True
+
+
 def brute_force_scan(P, M, D) -> ScanResult:
     """Reference grid: one derive_operator call per cell."""
     outcomes = {(m, d): derive_operator(P, m, d)
@@ -289,18 +309,52 @@ class TestExactKernel:
     @example([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(6 + _PRIME)]])
     @example([[Fraction(0)]])
     @example([[Fraction(0)] * 3] * 2)
+    @example(RESIDUE_SHAPE_TRAP)
     def test_matches_fraction_nullspace(self, matrix):
-        # same row space after _rref as the Fraction reference, whether the
-        # residue rank is right or the gate has to fall back
+        # the Fraction reference's vectors in its order, each up to a
+        # nonzero scale, whether the residue rank is right or the gate has
+        # to fall back
         ncols = len(matrix[0])
         rows = self.integer_rows(matrix)
         reference = _nullspace([row[:] for row in matrix], ncols)
-        kernel = [[Fraction(v) for v in vec] for vec in _exact_kernel(rows, ncols)]
-        assert _rref(kernel) == _rref(reference)
+        assert _proportional_vectors(_exact_kernel(rows, ncols), reference)
         first = _exact_kernel(rows, ncols, first_only=True)
         assert len(first) >= 1 if reference else first == []
         for vec in first:
             assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+
+    @settings(deadline=None, max_examples=200)
+    @given(rational_matrices())
+    @example([[Fraction(_PRIME)]])
+    @example([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(6 + _PRIME)]])
+    @example([[Fraction(0)] * 3] * 2)
+    @example(RESIDUE_SHAPE_TRAP)
+    def test_kernel_is_in_canonical_form(self, matrix):
+        # on the Bareiss path, on the fallback the examples force, and in
+        # the reference: leading columns strictly increase, and each vector
+        # is zero at every other vector's leading column
+        ncols = len(matrix[0])
+        for kernel in (_exact_kernel(self.integer_rows(matrix), ncols),
+                       _nullspace([row[:] for row in matrix], ncols)):
+            leads = [next(c for c, v in enumerate(vec) if v) for vec in kernel]
+            assert all(a < b for a, b in zip(leads, leads[1:]))
+            assert all(vec[c] == 0 for i, vec in enumerate(kernel)
+                       for j, c in enumerate(leads) if i != j)
+
+    def test_gate_rejects_a_vector_nonzero_below_its_free_column(self, monkeypatch):
+        # mod _PRIME column 2 depends on column 3, so 2 is free, but over Q
+        # its vector needs column 1: both vectors annihilate the rows, yet
+        # (1, -1, 0, 0) is not the echelon row (p, 0, -1, 1); the gate must
+        # send the cell to _nullspace
+        fallbacks = []
+        real = derivation._nullspace
+        monkeypatch.setattr(derivation, "_nullspace", lambda rows, ncols:
+                            fallbacks.append(ncols) or real(rows, ncols))
+        rows = self.integer_rows(RESIDUE_SHAPE_TRAP)
+        assert _exact_kernel(rows, 4) == [
+            [1, 0, Fraction(-1, _PRIME), Fraction(1, _PRIME)],
+            [0, 1, Fraction(-1, _PRIME), Fraction(1, _PRIME)]]
+        assert fallbacks == [4]
 
     @staticmethod
     def dense_pivots(rows, ncols, p):
@@ -521,7 +575,8 @@ def _grid_reference(P, M, D):
 
 def _grid_matches(grid, reference, P, M, D):
     """Whether `grid` holds ints only, is `reference` times the scale
-    r^D * L^E, and gives every sub-cell (m, d) the reference's kernel.
+    r^D * L^E, and gives every sub-cell (m, d) the reference's kernel
+    vectors, in order, each up to scale.
 
     r is the lcm of P's denominators, L the lead of P' cleared of its
     denominators, and E one more than the largest potential i + j (i + 2j
@@ -540,7 +595,7 @@ def _grid_matches(grid, reference, P, M, D):
             cols = [mm * (D + 1) + dd for mm in range(m + 1) for dd in range(d + 1)]
             want = _nullspace([[row[c] for c in cols] for row in reference], len(cols))
             got = _exact_kernel(_cell_rows(grid, D, m, d), len(cols))
-            if _rref([[Fraction(v) for v in vec] for vec in got]) != _rref(want):
+            if not _proportional_vectors(got, want):
                 return False
     return True
 

@@ -231,20 +231,18 @@ class TestRuleCache:
                                               (2.0, 0.0, 1), (10.0, 200.0, 128)])
     def test_density_rule_matches_fresh_reference_rules(self, k, lam, panels,
                                                         monkeypatch):
-        # the cached per-k reference rules give the bits that fresh
-        # Gauss-Jacobi and leggauss builds give
+        # the cached reference rules, of power k/2 - 1 and of power 0, give
+        # the bits that fresh Gauss-Jacobi builds give
         params = NoncentralParams(k=k, lam=lam)
         cached = _density_rule(params, panels)
         monkeypatch.setattr(noncentral, "_jacobi_rule",
                             noncentral._jacobi_rule.__wrapped__)
-        monkeypatch.setattr(noncentral, "_legendre_rule", lambda:
-                            np.polynomial.legendre.leggauss(noncentral.PANEL_NODES))
         fresh = _density_rule.__wrapped__(params, panels)
         for got, want in zip(cached, fresh):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_reference_rules_refuse_writes(self):
-        arrays = (*noncentral._jacobi_rule(0.25), *noncentral._legendre_rule(),
+        arrays = (*noncentral._jacobi_rule(0.25), *noncentral._jacobi_rule(0.0),
                   *_density_rule(NoncentralParams(k=2.5, lam=1.0), 32))
         for a in arrays:
             with pytest.raises(ValueError):
@@ -253,7 +251,6 @@ class TestRuleCache:
     def test_reference_rules_built_once_per_k(self, monkeypatch):
         _density_rule.cache_clear()
         noncentral._jacobi_rule.cache_clear()
-        noncentral._legendre_rule.cache_clear()
         built = []
         original = noncentral.golub_welsch
         monkeypatch.setattr(noncentral, "golub_welsch",
@@ -261,8 +258,9 @@ class TestRuleCache:
         for lam in (0.5, 1.5):
             for panels in (8, 16):
                 _density_rule(NoncentralParams(k=3.0, lam=lam), panels)
-        assert built == [0.5 / 2.5]  # one build, for power k/2 - 1 = 0.5
-        assert noncentral._legendre_rule.cache_info().misses == 1
+        # one build per power: k/2 - 1 = 0.5 for the first panel, then 0
+        # (Gauss-Legendre) for the others
+        assert built == [0.5 / 2.5, 0.0]
 
     @pytest.mark.parametrize("k", [2.0, 3.0])
     def test_non_finite_weights_raise(self, k):
