@@ -245,10 +245,6 @@ class ExtremaReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "tolerance": self.tolerance, "pass": self.passed,
-                "checks": [vars(c) for c in self.checks]}
-
 
 def verify_table1_extrema(n: int, tolerance: float = 1e-10) -> ExtremaReport:
     """Locate the critical points of the n-th Hermite polynomial and match

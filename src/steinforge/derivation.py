@@ -110,22 +110,18 @@ class DerivationError(ValueError):
 MAX_BOUND = 64
 
 
-def check_bounds(max_order: int, max_coeff_degree: int) -> None:
-    """Refuse a negative bound, or one above MAX_BOUND, before any work."""
-    if max_order < 0 or max_coeff_degree < 0:
-        raise DerivationError("order and degree bounds must be nonnegative")
-    if max_order > MAX_BOUND or max_coeff_degree > MAX_BOUND:
-        raise DerivationError(f"order and degree bounds must be at most {MAX_BOUND}")
-
-
 class DegeneratePushforward(DerivationError):
     """P is constant: W carries no randomness to integrate by parts."""
 
 
-def check_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> None:
-    """Refuse a scan's input before any work: bounds as `check_bounds`,
-    then a constant P, whose grid has no identity to search."""
-    check_bounds(max_order, max_coeff_degree)
+def check_input(P: Polynomial, max_order: int, max_coeff_degree: int) -> None:
+    """Refuse a derive's or scan's input before any work: a negative bound
+    or one above MAX_BOUND, then a constant P, which has no identity to
+    search."""
+    if max_order < 0 or max_coeff_degree < 0:
+        raise DerivationError("order and degree bounds must be nonnegative")
+    if max_order > MAX_BOUND or max_coeff_degree > MAX_BOUND:
+        raise DerivationError(f"order and degree bounds must be at most {MAX_BOUND}")
     if P.degree < 1:
         raise DegeneratePushforward("P is constant")
 
@@ -175,7 +171,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class DerivationResult:
-    status: str  # found | infeasible-at-bounds | degenerate
+    status: str  # found | infeasible-at-bounds
     poly: Polynomial
     bounds_used: SearchBounds
     operator: Optional[DiffOperator] = None
@@ -601,16 +597,7 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
     Infeasibility is relative to the searched family, never a nonexistence
     proof.
     """
-    check_bounds(max_order, max_coeff_degree)
-    if P.degree <= 0:
-        # W = c almost surely: (x - c) f(x) annihilates with no identities
-        op = DiffOperator((Polynomial((-P(0), 1)),))
-        return DerivationResult(
-            status="degenerate", poly=P,
-            bounds_used=SearchBounds(0, 1, 0, 0),
-            operator=op, certificate=Certificate({}), nullspace_dim=1,
-            basis=(op,))
-
+    check_input(P, max_order, max_coeff_degree)
     bounds = default_bounds(P, max_order, max_coeff_degree)
     grid = _grid_matrix(P, max_order, max_coeff_degree)
     result = _solve_cell(P, _cell_rows(grid, max_coeff_degree, max_order,
@@ -630,9 +617,6 @@ def verify_certificate(result: DerivationResult, P: Polynomial) -> bool:
     """Exact replay: sum(multiplier * identity) must equal the operator image."""
     if result.operator is None or result.certificate is None:
         raise DerivationError("result carries no operator/certificate")
-    if P.degree == 0:
-        return operator_image(result.operator, P).is_zero and \
-            not result.certificate.multipliers
     total = ExpectationVector(
         (t, lam * c) for (k, j), lam in result.certificate.multipliers.items()
         for t, c in ibp_identity(k, j, P).as_dict().items())
@@ -684,7 +668,7 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
       later cell needs only its status.
     The residue rank only rules cells out, and only where that is certain.
     """
-    check_scan(P, max_order, max_coeff_degree)
+    check_input(P, max_order, max_coeff_degree)
     M, D = max_order, max_coeff_degree
     grid = _grid_matrix(P, M, D)
     residues = _residues(grid, range((M + 1) * (D + 1)))

@@ -157,6 +157,9 @@ def test_criterion_2_derivation_reproduces_known_operators():
     r = derive_operator(Polynomial([1, 2, 1]), 2, 1)
     cases.append(("quadratic(1,2,1)", r, Polynomial([1, 2, 1]),
                   quadratic_operator(1, 2, 1)))
+    r = derive_operator(Polynomial([0, -3, 1]), 2, 1)
+    cases.append(("quadratic(1,-3,0)", r, Polynomial([0, -3, 1]),
+                  quadratic_operator(1, -3, 0)))
     problems = []
     for name, result, P, reference in cases:
         if not result.found:
@@ -169,7 +172,7 @@ def test_criterion_2_derivation_reproduces_known_operators():
             problems.append(f"{name}: certificate does not replay")
     elapsed = time.monotonic() - start
     ok = not problems and elapsed < 30.0
-    report(2, ok, f"five derivations with exact certificates, {elapsed:.2f}s")
+    report(2, ok, f"six derivations with exact certificates, {elapsed:.2f}s")
     assert not problems, problems
     assert elapsed < 30.0
 

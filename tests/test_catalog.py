@@ -129,7 +129,7 @@ def test_radical_values():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_extrema_verification(n):
     report = verify_table1_extrema(n)
-    assert report.passed, report.to_dict()
+    assert report.passed, report.checks
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -99,13 +99,11 @@ class TestExitCodes:
         assert payload["status"] == "found"
         assert payload["nullspace_dim"] == 1
 
-    def test_derive_constant_is_degenerate_with_operator(self):
-        code, out, _ = run_cli("derive", "--poly", "7", "--order", "2",
-                               "--degree", "2")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["status"] == "degenerate"
-        assert payload["operator"]["coefficients"] == [["-7", "1"]]
+    def test_derive_constant_is_a_usage_error(self):
+        code, out, err = run_cli("derive", "--poly", "7", "--order", "2",
+                                 "--degree", "2")
+        assert (code, out) == (64, "")
+        assert "error: P is constant" in err
 
     def test_derive_infeasible_is_two(self):
         code, out, _ = run_cli("derive", "--poly", "x^3-3x",
@@ -441,6 +439,25 @@ def test_noncentral_k_300_still_verifies(capsys):
     assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
 
 
+@pytest.mark.parametrize("k,lam", [("301", "0"), ("301", "1"), ("356", "0")])
+def test_noncentral_variance_is_integrated_about_the_mean(k, lam, capsys):
+    # E[X^2] - mean^2 missed the 1e-8 variance tolerance by cancellation here
+    code = main(["noncentral", "--k", k, "--lambda", lam, "--verify"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_noncentral_variance_off_by_1e7_fails(monkeypatch, capsys):
+    # negative control: the variance check alone turns the verdict
+    from steinforge.noncentral import NoncentralParams
+    true_variance = NoncentralParams.variance
+    monkeypatch.setattr(NoncentralParams, "variance", property(
+        lambda self: true_variance.fget(self) + 1e-7))
+    code = main(["noncentral", "--k", "3", "--lambda", "1", "--verify"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["density_checks"]["operator_report"]["pass"] is True
+
+
 def test_noncentral_lambda_1e9_fails_with_valid_json(capsys):
     # the weights are finite here, but the rule does not resolve every leg
     code = main(["noncentral", "--k", "2", "--lambda", "1e9", "--verify"])
@@ -530,9 +547,12 @@ class TestInputLimits:
         captured = capsys.readouterr()
         assert captured.out == "" and "exponent above 1000" in captured.err
 
-    CONSTANT_P_SCANS = [
+    CONSTANT_P = [
         ["scan", "--poly", "5", "--max-order", "1", "--max-degree", "1"],
         ["scan", "--coeffs=0,0", "--max-order", "1", "--max-degree", "1"],
+        ["derive", "--poly", "7", "--order", "3", "--degree", "3"],
+        ["derive", "--coeffs", "5", "--order", "3", "--degree", "3"],
+        ["derive", "--coeffs", "0", "--order", "0", "--degree", "0"],
     ]
 
     @pytest.mark.parametrize("argv", [
@@ -542,18 +562,18 @@ class TestInputLimits:
         ["scan", "--poly", "x", "--max-order", "65", "--max-degree", "0"],
         ["scan", "--poly", "x", "--max-order", "0", "--max-degree", "10000"],
         ["conjecture", "--hermite", "5", "--max-order", "65", "--max-degree", "1"],
-        *CONSTANT_P_SCANS,
+        *CONSTANT_P,
     ])
     def test_bounds_above_cap_are_refused_first(self, argv, monkeypatch, capsys):
-        # a scan of a constant P is refused by the same check, also before
-        # its progress line
+        # a derive or scan of a constant P is refused by the same check, also
+        # before a scan's progress line
         def refuse(*args):
             raise AssertionError("columns reduced before the bounds were checked")
         monkeypatch.setattr("steinforge.derivation._grid_matrix", refuse)
         assert main(argv) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
-        reason = "P is constant" if argv in self.CONSTANT_P_SCANS \
+        reason = "P is constant" if argv in self.CONSTANT_P \
             else "order and degree bounds must be at most 64"
         assert captured.err == f"error: {reason}\n"
 

@@ -180,11 +180,10 @@ class TestDerive:
         assert derive_operator(H4, 2, 2).status == "infeasible-at-bounds"
         assert derive_operator(H4, 1, 8).status == "infeasible-at-bounds"
 
-    def test_degenerate_constant(self):
-        r = derive_operator(Polynomial([7]), 2, 2)
-        assert r.status == "degenerate"
-        assert r.operator == DiffOperator((Polynomial([-7, 1]),))
-        assert verify_certificate(r, Polynomial([7]))
+    def test_constant_is_refused(self):
+        for P, M, D in ((Polynomial([7]), 2, 2), (Polynomial([3]), 1, 1)):
+            with pytest.raises(DegeneratePushforward, match="P is constant"):
+                derive_operator(P, M, D)
 
 
 class TestCertificate:
