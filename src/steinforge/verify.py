@@ -24,8 +24,7 @@ once per point set, not once per derivative order.
 Noncentral chi-square has no polynomial pushforward; its density route
 integrates (A f) against the density by the composite rule of `noncentral`
 behind its resolution gate, and a check passes only when the rule
-resolved and the residual is within tolerance. Only that route touches
-scipy.special; scipy.integrate is not used.
+resolved and the residual is within tolerance. No route loads scipy.
 """
 from __future__ import annotations
 

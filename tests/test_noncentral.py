@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy import special
 from steinforge import noncentral
 from steinforge.catalog import noncentral_chi2_operator
 from steinforge.noncentral import (NoncentralParams, _density_rule,
-                                   _log_density_factor, bessel_i,
-                                   density_integral, noncentral_pdf)
+                                   _log_density_factor, _log_scaled_bessel,
+                                   bessel_i, density_integral, noncentral_pdf)
 from steinforge.operators import DiffOperator
 from steinforge.testfunctions import gaussian_bump, sine
 from steinforge.verify import verify_noncentral_operator
@@ -46,6 +47,76 @@ class TestBessel:
             bessel_i(0.0, -1.0)
         with pytest.raises(ValueError):
             bessel_i(-1.0, 1.0)
+
+
+# Orders nu = k/2 - 1, each with the largest z = sqrt(lam x) the density
+# rule reaches at it, rounded up: the first panel's weights overflow for k
+# above about 374, and at large k already for moderate lam; above z = 2^30
+# the Bessel factor is NaN.
+BESSEL_DOMAIN = [(nu, 2.0 ** 30) for nu in (
+    -0.9, -0.5, 0.0, 0.25, 0.5, 1.0, 2.5, 4.0, 6.3, 8.5, 10.0, 12.5, 15.0,
+    19.99, 20.0, 25.0, 39.0)] + [(49.0, 6e7), (74.0, 5e5), (99.0, 4e4),
+                                 (124.0, 8e3), (149.0, 2e3), (169.0, 800.0),
+                                 (179.0, 400.0), (190.0, 200.0)]
+# read once, so a negative control that halves it leaves the grid as it is
+HANKEL_Z = noncentral.HANKEL_Z
+
+
+def _bessel_grid(nu: float, z_max: float) -> np.ndarray:
+    """Fixed points, both sides of each branch threshold, and a geometric
+    sweep up to z_max."""
+    thresholds = [HANKEL_Z, 0.5 * nu * nu, 2.0 * math.sqrt(nu + 1.0)]
+    sides = [v for t in thresholds for v in (np.nextafter(t, 0.0), t, 1.01 * t)]
+    z = np.concatenate([[0.0, 1e-300, 1e-3, 0.5, 2.0, 5.0, 9.0, 12.0, 15.0],
+                        sides, np.geomspace(1.0, z_max, 24)])
+    return np.unique(z[z <= z_max])
+
+
+@lru_cache(maxsize=None)
+def _bessel_reference(nu: float, z_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and log(Gamma(nu+1) (z/2)^(-nu) I_nu(z) e^(-z)) on it, by
+    40-digit mpmath.besseli."""
+    import mpmath
+    z = _bessel_grid(nu, z_max)
+    with mpmath.workdps(40):
+        n = mpmath.mpf(nu)
+        want = [0.0 if v == 0.0 else float(
+            mpmath.loggamma(n + 1) - n * mpmath.log(mpmath.mpf(v) / 2)
+            + mpmath.log(mpmath.besseli(n, mpmath.mpf(v))) - mpmath.mpf(v))
+            for v in z]
+    return z, np.array(want)
+
+
+def _bessel_errors_above_bound() -> list[tuple[float, float, float]]:
+    """(nu, z, error) wherever _log_scaled_bessel is off its reference by
+    more than 1e-13 (nu <= 10) or 1e-12 (larger nu) in the log, that is in
+    relative terms."""
+    bad = []
+    for nu, z_max in BESSEL_DOMAIN:
+        z, want = _bessel_reference(nu, z_max)
+        with np.errstate(invalid="ignore"):  # a mutant's NaN counts as an error
+            error = np.abs(_log_scaled_bessel(nu, z) - want)
+        bound = 1e-13 if nu <= 10.0 else 1e-12
+        bad += [(nu, v, e) for v, e in zip(z, error) if not e <= bound]
+    return bad
+
+
+class TestScaledBessel:
+    def test_matches_mpmath_over_the_reachable_domain(self):
+        assert _bessel_errors_above_bound() == []
+
+    @pytest.mark.parametrize("name", ["HANKEL_Z", "DEBYE_NU"])
+    def test_halved_threshold_fails(self, name, monkeypatch):
+        # negative control: each asymptotic branch is too coarse below its
+        # threshold, and the grid samples it there
+        monkeypatch.setattr(noncentral, name, 0.5 * getattr(noncentral, name))
+        assert _bessel_errors_above_bound() != []
+
+    def test_nan_beyond_the_validated_range(self):
+        z = np.array([0.0, 2.0 ** 30, np.nextafter(2.0 ** 30, np.inf), 1e10])
+        for nu in (-0.5, 4.0, 39.0):
+            got = _log_scaled_bessel(nu, z)
+            assert got[0] == 0.0 and np.isfinite(got[1]) and np.isnan(got[2:]).all()
 
 
 class TestParams:
@@ -264,8 +335,8 @@ class TestRuleCache:
 
     @pytest.mark.parametrize("k", [2.0, 3.0])
     def test_non_finite_weights_raise(self, k):
-        # scipy.special.ive returns NaN above z ~ 1.08e9, which lambda = 1e10
-        # reaches inside the cutoff
+        # the Bessel factor is NaN above z = 2^30 (about 1.07e9), beyond the
+        # range it is validated on, which lambda = 1e10 reaches inside the cutoff
         with pytest.raises(ValueError, match="lambda = 10000000000.0"):
             _density_rule(NoncentralParams(k=k, lam=1e10), 64)
 
