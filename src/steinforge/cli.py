@@ -318,8 +318,7 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_noncentral(args) -> int:
     # lazy, as in _cmd_verify
-    from .noncentral import NoncentralParams, resolved_density_integral
-    from .testfunctions import default_suite
+    from .noncentral import NoncentralParams
     from .verify import verify_noncentral_operator
     params = NoncentralParams(k=args.k, lam=getattr(args, "lambda"))
     op = noncentral_chi2_operator(args.k, getattr(args, "lambda"))
@@ -327,24 +326,9 @@ def _cmd_noncentral(args) -> int:
                              "mean": params.mean, "variance": params.variance}
     ok = True
     if args.verify:
-        total, mean = (resolved_density_integral(params, h, tol) for h, tol in
-                       ((lambda x: 1.0, 1e-10), (lambda x: x, 1e-8)))
-        # about the computed mean: E[X^2] - mean^2 cancels to ~1e-8 at k ~ 300
-        variance = resolved_density_integral(
-            params, lambda x: (x - mean.value) ** 2, 1e-8)
-        report = verify_noncentral_operator(params, default_suite(), tol=args.tol)
-        payload["density_checks"] = {
-            "normalization": total.value,
-            "mean": mean.value,
-            "variance": variance.value,
-            "operator_report": report.to_dict(),
-        }
-        ok = (report.passed
-              and all(m.resolved for m in (total, mean, variance))
-              and abs(total.value - 1.0) <= 1e-10
-              and abs(mean.value - params.mean) <= 1e-8
-              and abs(variance.value - params.variance) <= 1e-8)
-        payload["pass"] = ok
+        checks = verify_noncentral_operator(op, params, tol=args.tol)
+        payload["density_checks"] = checks.to_dict()
+        ok = payload["pass"] = checks.passed
     _emit(payload, args.format, op.latex())
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

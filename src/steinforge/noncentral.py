@@ -12,10 +12,10 @@ Gauss-Jacobi with power 0, on the others. The weights carry the smooth rest
 of the density, pdf(x) / x^(k/2-1), computed in log space, so no lam
 overflows it. The integrand is called once, on the whole node array.
 
-Resolution gate. resolved_density_integral starts at FIRST_PANELS against
-twice as many and doubles until two consecutive estimates agree within
-tol/10, up to MAX_PANELS. A density verdict uses the finer estimate and
-passes only when the gate resolved.
+Resolution gate. resolved_density_integrals doubles each integrand's
+panels from FIRST_PANELS until two consecutive estimates agree within its
+tol/10, up to MAX_PANELS, building each count's rule once for all that are
+still open. A verdict uses the finer estimate and needs the gate resolved.
 
 Bessel factor. The density's smooth factor needs the modified Bessel
 function I_nu; _log_scaled_bessel computes it with numpy alone (a series,
@@ -215,12 +215,6 @@ def _log_density_factor(x: np.ndarray, params: NoncentralParams) -> np.ndarray:
             - math.lgamma(half_k) - half_k * math.log(2.0))
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=32)
 def _jacobi_rule(power: float) -> tuple[np.ndarray, np.ndarray]:
     """PANEL_NODES-node Gauss-Jacobi rule on (-1, 1) for the weight
@@ -240,10 +234,12 @@ def _jacobi_rule(power: float) -> tuple[np.ndarray, np.ndarray]:
     diag[0] = power / (power + 2.0)
     diag[1:] = power * power / (s[:-1] * (s[:-1] + 2.0))
     nodes, weights = golub_welsch(diag, off, lambda t: power * np.log1p(t))
-    return _read_only(nodes, weights * (mass / weights.sum()))
+    weights = weights * (mass / weights.sum())
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-@lru_cache(maxsize=32)
 def _density_rule(params: NoncentralParams,
                   panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, density folded in, of the composite rule on (0, cutoff).
@@ -251,24 +247,26 @@ def _density_rule(params: NoncentralParams,
     `panels` equal panels of PANEL_NODES nodes each: Gauss-Jacobi with weight
     x^(k/2-1) on the first, so the endpoint power is integrated exactly, and
     Gauss-Legendre, `_jacobi_rule(0.0)`, on the rest. The reference rules are
-    built once per power; the arrays are cached and read-only. ValueError
-    marks a rule that does not build in float64: the first panel's weights
-    overflow at large k (400 at lam = 1), and the Bessel factor is NaN for
-    sqrt(lam x) above MAX_BESSEL_Z, beyond the range it is validated on.
+    built once per power, this rule on every call. ValueError marks a rule
+    that does not build in float64: the first panel's rule fails for k
+    below about 2e-13 and its weights overflow at large k (400 at lam = 1),
+    and the Bessel factor is NaN for sqrt(lam x) above MAX_BESSEL_Z.
     """
     if panels < 1:
         raise ValueError("need at least one panel")
     power = 0.5 * params.k - 1.0
     width = params.density_cutoff() / panels
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             t, wj = _jacobi_rule(power)
             first_w = wj * (0.5 * width) ** (power + 1.0)
-    except (OverflowError, FloatingPointError):
+    except ArithmeticError:  # below k = 2 only the rule itself can fail
+        why = ("rule does not build: k/2 - 1 is too close to -1" if power < 0.0
+               else "weights, scaled by its half-width to the power k/2, overflow")
         raise ValueError(
             f"noncentral density rule does not build in float64 at k = "
             f"{params.k}, lambda = {params.lam}: the first panel's Gauss-Jacobi "
-            f"weights, scaled by its half-width to the power k/2, overflow") from None
+            f"{why}") from None
     first = 0.5 * width * (t + 1.0)
     first_w = first_w * np.exp(_log_density_factor(first, params))
     u, wl = _jacobi_rule(0.0)
@@ -283,17 +281,20 @@ def _density_rule(params: NoncentralParams,
             f"noncentral density rule has non-finite weights at k = "
             f"{params.k}, lambda = {params.lam}: the Bessel factor is "
             f"validated only for sqrt(lambda x) up to {MAX_BESSEL_Z:g}")
-    return _read_only(nodes, weights)
+    return nodes, weights
 
 
 def density_integral(params: NoncentralParams, func,
-                     panels: int = 2 * FIRST_PANELS) -> float:
+                     panels: int = 2 * FIRST_PANELS):
     """Integral of func(x) * pdf(x) over (0, cutoff) by the composite rule.
 
-    `func` receives the whole node array; a scalar return is broadcast.
+    `func` receives the whole node array; a scalar return is broadcast. A
+    sequence of such funcs gives the list of their integrals.
     """
     x, w = _density_rule(params, panels)
-    return float(np.dot(w, np.broadcast_to(func(x), x.shape)))
+    if callable(func):
+        return float(np.dot(w, np.broadcast_to(func(x), x.shape)))
+    return [float(np.dot(w, np.broadcast_to(f(x), x.shape))) for f in func]
 
 
 class ResolvedIntegral(NamedTuple):
@@ -304,19 +305,23 @@ class ResolvedIntegral(NamedTuple):
     resolved: bool
 
 
-def resolved_density_integral(params: NoncentralParams, func,
-                              tol: float) -> ResolvedIntegral:
-    """density_integral behind a resolution gate.
+def resolved_density_integrals(params: NoncentralParams,
+                                legs) -> list[ResolvedIntegral]:
+    """density_integral behind a resolution gate, for each (func, tol) leg.
 
-    Starting from FIRST_PANELS panels, the count doubles until two
-    consecutive estimates agree within tol/10; the finer one is returned.
-    Reaching MAX_PANELS first returns the last estimate with resolved False.
+    A leg's panel count doubles from FIRST_PANELS until two consecutive
+    estimates agree within tol/10, giving the finer one, or reaches
+    MAX_PANELS, giving the last with resolved False. One density_integral
+    call per panel count serves every leg still open.
     """
     panels = min(FIRST_PANELS, MAX_PANELS)
-    value = density_integral(params, func, panels)
-    while panels < MAX_PANELS:
-        previous, panels = value, 2 * panels
-        value = density_integral(params, func, panels)
-        if abs(value - previous) <= 0.1 * tol:
-            return ResolvedIntegral(value, panels, True)
-    return ResolvedIntegral(value, panels, False)
+    results = [ResolvedIntegral(value, panels, False) for value in
+               density_integral(params, [func for func, _ in legs], panels)]
+    while panels < MAX_PANELS and not all(r.resolved for r in results):
+        panels *= 2
+        pending = [i for i, r in enumerate(results) if not r.resolved]
+        finer = density_integral(params, [legs[i][0] for i in pending], panels)
+        for i, value in zip(pending, finer):
+            results[i] = ResolvedIntegral(
+                value, panels, abs(value - results[i].value) <= 0.1 * legs[i][1])
+    return results

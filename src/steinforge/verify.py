@@ -22,9 +22,9 @@ transcendental factor of a test function (sin, cos or exp) is evaluated
 once per point set, not once per derivative order.
 
 Noncentral chi-square has no polynomial pushforward; its density route
-integrates (A f) against the density by the composite rule of `noncentral`
-behind its resolution gate, and a check passes only when the rule
-resolved and the residual is within tolerance. No route loads scipy.
+integrates the moments and each (A f) against the density in one pass of
+the resolution gate of `noncentral`, and a check passes only when its rule
+resolved and it is within tolerance. No route loads scipy.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import chunk_indices, chunk_normals, gauss_hermite_rule
-from .noncentral import NoncentralParams, resolved_density_integral
+from .noncentral import NoncentralParams, resolved_density_integrals
 from .operators import DiffOperator, moment_relation
 from .poly import Polynomial, power_table
 from .testfunctions import TestFunction, default_suite
@@ -234,32 +234,41 @@ def verify_all(op: DiffOperator, P: Polynomial,
     return reports
 
 
-def verify_noncentral_operator(params: NoncentralParams,
-                               suite: Sequence[TestFunction] = (),
-                               tol: float = 1e-8) -> VerificationReport:
-    """Integrate (A f)(x) against the noncentral chi-square density.
+@dataclass(frozen=True)
+class DensityReport:
+    moments: dict[str, float]
+    operator_report: VerificationReport
+    passed: bool
 
-    The operator is the second-order one for (k, lam). Each residual is a
-    resolved_density_integral over (0, cutoff), the exponentially small tail
-    neglected; a check passes only when its rule resolved and the residual
-    is within tol. The cutoff, the final panel count and whether the gate
-    resolved are recorded in each check.
+    def to_dict(self) -> dict:
+        return self.moments | {"operator_report": self.operator_report.to_dict()}
+
+
+def verify_noncentral_operator(op: DiffOperator, params: NoncentralParams,
+                               suite: Sequence[TestFunction] = (),
+                               tol: float = 1e-8) -> DensityReport:
+    """Normalization (tolerance 1e-10), mean and variance (1e-8) against
+    their exact values, the variance about the exact mean so that no
+    integral depends on another, and E[(A f)(X)] against 0 (tolerance tol),
+    in one resolved_density_integrals pass over (0, cutoff). A leg passes
+    only when it resolved; operator checks record cutoff, panels, resolved.
     """
-    from .catalog import noncentral_chi2_operator
-    op = noncentral_chi2_operator(params.k, params.lam)
     suite = tuple(suite) or default_suite()
-    cutoff = params.density_cutoff()
-    checks = []
-    for f in suite:
-        f.derivative(0.0, op.order)
-        result = resolved_density_integral(
-            params, lambda x, f=f: operator_values(op, f, x), tol)
-        checks.append(CheckResult(
-            name=f.name, residual=result.value, tolerance=tol,
-            passed=result.resolved and abs(result.value) <= tol,
-            params={"k": params.k, "lambda": params.lam, "cutoff": cutoff,
-                    "panels": result.panels, "resolved": result.resolved}))
-    return VerificationReport(method="density", checks=tuple(checks))
+    moments = ("normalization", "mean", "variance")
+    legs = [(lambda x: 1.0, 1.0, 1e-10), (lambda x: x, params.mean, 1e-8),
+            (lambda x: (x - params.mean) ** 2, params.variance, 1e-8)]
+    legs += [(lambda x, f=f: operator_values(op, f, x), 0.0, tol) for f in suite]
+    results = resolved_density_integrals(params, [(h, t) for h, _, t in legs])
+    passed = [r.resolved and abs(r.value - exact) <= t
+              for r, (_, exact, t) in zip(results, legs)]
+    report = VerificationReport(method="density", checks=tuple(
+        CheckResult(name=f.name, residual=r.value, tolerance=tol, passed=ok,
+                    params={"k": params.k, "lambda": params.lam,
+                            "cutoff": params.density_cutoff(),
+                            "panels": r.panels, "resolved": r.resolved})
+        for f, r, ok in zip(suite, results[len(moments):], passed[len(moments):])))
+    return DensityReport({name: r.value for name, r in zip(moments, results)},
+                         report, all(passed))
 
 
 def mutation_controls(op: DiffOperator, P: Polynomial,

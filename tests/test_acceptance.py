@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steinforge.catalog import (catalog, quadratic_operator,
-                                verify_table1_extrema)
+from steinforge.catalog import (catalog, noncentral_chi2_operator,
+                                quadratic_operator, verify_table1_extrema)
 from steinforge.derivation import (derive_operator, ibp_identity, minimal_scan,
                                    verify_certificate)
 from steinforge.gaussian import gauss_hermite_rule
@@ -333,7 +333,9 @@ def test_criterion_6_noncentral_chi_square():
             problems.append(f"mean({k},{lam})")
         if abs((second - mean * mean) - 2 * (k + 2 * lam)) > 1e-8:
             problems.append(f"variance({k},{lam})")
-        if not verify_noncentral_operator(params, SUITE, tol=1e-8).passed:
+        op = noncentral_chi2_operator(k, lam)
+        if not verify_noncentral_operator(op, params, SUITE,
+                                          tol=1e-8).operator_report.passed:
             problems.append(f"operator({k},{lam})")
     mu = 1.25
     params1 = NoncentralParams(k=1.0, lam=mu * mu)

@@ -20,7 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
-    env = dict(os.environ)
+    # a warning that would reach a user's stderr fails the test
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "steinforge", *args],
@@ -311,7 +312,7 @@ class TestReproducibility:
 def loaded_modules(code: str, roots=("scipy",)) -> set[str]:
     """Modules of the packages `roots` in sys.modules after a fresh
     interpreter runs `code`."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     probe = (code + "\nimport sys\n"
              f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -430,6 +431,20 @@ def test_noncentral_k_beyond_float64_rule_is_a_usage_error(k, capsys):
         f"error: noncentral density rule does not build in float64 at "
         f"k = {float(k)}, lambda = 1.0: the first panel's Gauss-Jacobi "
         f"weights, scaled by its half-width to the power k/2, overflow\n")
+
+
+@pytest.mark.parametrize("k", ["1e-20", "1e-16", "4e-16"])
+def test_noncentral_k_near_0_rule_is_a_usage_error(k, capsys):
+    # k/2 - 1 rounds to -1 (1e-20, 1e-16), so the rule's mass divides by 0,
+    # or lies so close to it that a node rounds below -1 (4e-16); warnings
+    # are errors here, so a usage error also shows that none reached stderr
+    code = main(["noncentral", "--k", k, "--lambda", "1", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == (
+        f"error: noncentral density rule does not build in float64 at "
+        f"k = {float(k)}, lambda = 1.0: the first panel's Gauss-Jacobi rule "
+        f"does not build: k/2 - 1 is too close to -1\n")
 
 
 def test_noncentral_k_300_still_verifies(capsys):

@@ -1,7 +1,6 @@
 """Noncentral chi-square density, Bessel series and operator checks."""
 from __future__ import annotations
 
-import importlib
 import math
 from functools import lru_cache
 
@@ -11,14 +10,22 @@ from scipy import special
 
 from steinforge import noncentral
 from steinforge.catalog import noncentral_chi2_operator
-from steinforge.noncentral import (NoncentralParams, _density_rule,
+from steinforge.cli import main
+from steinforge.noncentral import (FIRST_PANELS, NoncentralParams, _density_rule,
                                    _log_density_factor, _log_scaled_bessel,
-                                   bessel_i, density_integral, noncentral_pdf)
+                                   bessel_i, density_integral, noncentral_pdf,
+                                   resolved_density_integrals)
 from steinforge.operators import DiffOperator
-from steinforge.testfunctions import gaussian_bump, sine
-from steinforge.verify import verify_noncentral_operator
+from steinforge.testfunctions import default_suite, gaussian_bump, sine
+from steinforge.verify import operator_values, verify_noncentral_operator
 
 PAIRS = [(1.0, 1.0), (2.0, 0.5), (4.0, 3.0)]
+
+
+def check_operator(params: NoncentralParams, suite=(), tol: float = 1e-8):
+    """The density report of the catalog operator for params."""
+    op = noncentral_chi2_operator(params.k, params.lam)
+    return verify_noncentral_operator(op, params, suite, tol)
 
 
 class TestBessel:
@@ -176,20 +183,19 @@ class TestDensity:
 
 class TestOperatorChecks:
     def test_k1_sine(self):
-        rep = verify_noncentral_operator(NoncentralParams(k=1, lam=1),
-                                         [sine(1.0)], tol=1e-8)
+        rep = check_operator(NoncentralParams(k=1, lam=1), [sine(1.0)], tol=1e-8)
         assert rep.passed
 
     def test_k4_bump(self):
-        rep = verify_noncentral_operator(NoncentralParams(k=4, lam=3),
-                                         [gaussian_bump()], tol=1e-8)
+        rep = check_operator(NoncentralParams(k=4, lam=3), [gaussian_bump()],
+                             tol=1e-8)
         assert rep.passed
 
     @pytest.mark.parametrize("k,lam", PAIRS)
     def test_full_suite(self, k, lam):
-        rep = verify_noncentral_operator(NoncentralParams(k=k, lam=lam))
+        rep = check_operator(NoncentralParams(k=k, lam=lam))
         assert rep.passed
-        assert all(c.params["cutoff"] > 0 for c in rep.checks)
+        assert all(c.params["cutoff"] > 0 for c in rep.operator_report.checks)
 
     @pytest.mark.parametrize("k,lam", PAIRS + [(2.5, 1.0), (3.0, 0.0)])
     def test_scalar_integrand_matches_array_integrand(self, k, lam):
@@ -204,7 +210,7 @@ class TestOperatorChecks:
             return 1.0
 
         scalar = density_integral(params, one, 64)
-        assert len(seen) == 1 and seen[0] is nodes
+        assert len(seen) == 1 and seen[0].tobytes() == nodes.tobytes()
         assert scalar == density_integral(params, np.ones_like, 64)
 
     @pytest.mark.parametrize("k,lam", PAIRS + [(2.5, 1.0), (1.0, 8.0), (3.0, 0.0),
@@ -223,42 +229,37 @@ class TestOperatorChecks:
                                        (3.0, 60.0)])
     def test_residuals_match_mpmath_reference(self, k, lam):
         params = NoncentralParams(k=k, lam=lam)
-        report = verify_noncentral_operator(params)
+        report = check_operator(params)
         assert report.passed
-        for check in report.checks:
+        for check in report.operator_report.checks:
             assert check.params["resolved"] is True
             reference = _mpmath_residual(k, lam, check.name,
                                          params.density_cutoff())
             assert abs(check.residual - reference) <= 1e-12, check.name
 
     @pytest.mark.parametrize("k,lam", [(1.0, 2.0), (2.5, 1.0)])
-    def test_mutants_fail(self, k, lam, monkeypatch):
+    def test_mutants_fail(self, k, lam):
         # negative control: each +1-coefficient mutant of the operator fails
         # on a leg whose rule resolved
-        # the package binds the name `catalog` to the function, not the module
-        catalog_module = importlib.import_module("steinforge.catalog")
         rows = [list(p.coeffs) for p in noncentral_chi2_operator(k, lam).coefficients]
         slots = [(m, d) for m, row in enumerate(rows) for d in range(len(row))]
         for m, d in slots:
             bumped = [list(row) for row in rows]
             bumped[m][d] += 1
             mutant = DiffOperator.from_rows(bumped)
-            monkeypatch.setattr(catalog_module, "noncentral_chi2_operator",
-                                lambda k, lam, mutant=mutant: mutant)
-            report = verify_noncentral_operator(NoncentralParams(k=k, lam=lam))
+            report = verify_noncentral_operator(mutant, NoncentralParams(k=k, lam=lam))
             assert not report.passed
             assert any(c.params["resolved"] and abs(c.residual) > c.tolerance
-                       for c in report.checks), (m, d)
+                       for c in report.operator_report.checks), (m, d)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e3])
     def test_capped_gate_is_unresolved_and_fails(self, tol, monkeypatch):
         # negative control: a gate that cannot double never passes a check,
         # not even one whose residual lies within a loose tolerance
         monkeypatch.setattr(noncentral, "MAX_PANELS", 1)
-        report = verify_noncentral_operator(NoncentralParams(k=2.0, lam=0.5),
-                                            tol=tol)
+        report = check_operator(NoncentralParams(k=2.0, lam=0.5), tol=tol)
         assert not report.passed
-        for check in report.checks:
+        for check in report.operator_report.checks:
             assert check.params["panels"] == 1
             assert check.params["resolved"] is False and not check.passed
             if tol > 1:
@@ -272,9 +273,9 @@ class TestOperatorChecks:
         params = NoncentralParams(k=3.0, lam=lam)
         with pytest.raises(OverflowError):
             noncentral_pdf(params.density_cutoff(), params)
-        report = verify_noncentral_operator(params)
+        report = check_operator(params)
         assert report.passed
-        assert all(c.params["resolved"] for c in report.checks)
+        assert all(c.params["resolved"] for c in report.operator_report.checks)
 
 
 @pytest.mark.parametrize("power", [-0.5, 0.0, 0.25, 0.5, 1.0, 4.0, 49.0, 149.0, 199.0])
@@ -308,19 +309,16 @@ class TestRuleCache:
         cached = _density_rule(params, panels)
         monkeypatch.setattr(noncentral, "_jacobi_rule",
                             noncentral._jacobi_rule.__wrapped__)
-        fresh = _density_rule.__wrapped__(params, panels)
+        fresh = _density_rule(params, panels)
         for got, want in zip(cached, fresh):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_reference_rules_refuse_writes(self):
-        arrays = (*noncentral._jacobi_rule(0.25), *noncentral._jacobi_rule(0.0),
-                  *_density_rule(NoncentralParams(k=2.5, lam=1.0), 32))
-        for a in arrays:
+        for a in (*noncentral._jacobi_rule(0.25), *noncentral._jacobi_rule(0.0)):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
     def test_reference_rules_built_once_per_k(self, monkeypatch):
-        _density_rule.cache_clear()
         noncentral._jacobi_rule.cache_clear()
         built = []
         original = noncentral.golub_welsch
@@ -333,12 +331,68 @@ class TestRuleCache:
         # (Gauss-Legendre) for the others
         assert built == [0.5 / 2.5, 0.0]
 
+    def test_one_density_rule_per_panel_count_per_job(self, monkeypatch, capsys):
+        # every leg of a job shares one rule per panel count, and no rule is
+        # kept from one job to the next: each build runs the rule's body,
+        # which asks for the Gauss-Legendre reference rule once
+        asked, references = [], []
+        rule, reference = noncentral._density_rule, noncentral._jacobi_rule
+        monkeypatch.setattr(noncentral, "_density_rule",
+                            lambda params, panels: asked.append(panels)
+                            or rule(params, panels))
+        monkeypatch.setattr(noncentral, "_jacobi_rule",
+                            lambda power: references.append(power) or reference(power))
+        argv = ["noncentral", "--k", "3", "--lambda", "1", "--verify"]
+        outputs = [(main(argv), capsys.readouterr().out) for _ in range(2)]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+        assert asked == [32, 64, 32, 64]
+        assert references.count(0.0) == 4
+
     @pytest.mark.parametrize("k", [2.0, 3.0])
     def test_non_finite_weights_raise(self, k):
         # the Bessel factor is NaN above z = 2^30 (about 1.07e9), beyond the
         # range it is validated on, which lambda = 1e10 reaches inside the cutoff
         with pytest.raises(ValueError, match="lambda = 10000000000.0"):
             _density_rule(NoncentralParams(k=k, lam=1e10), 64)
+
+
+def _gate_alone(params: NoncentralParams, func, tol: float):
+    """(value, panels, resolved) of one integrand behind the resolution
+    gate, each panel count's estimate by its own density_integral call."""
+    panels = min(FIRST_PANELS, noncentral.MAX_PANELS)
+    value = density_integral(params, func, panels)
+    while panels < noncentral.MAX_PANELS:
+        previous, panels = value, 2 * panels
+        value = density_integral(params, func, panels)
+        if abs(value - previous) <= 0.1 * tol:
+            return value, panels, True
+    return value, panels, False
+
+
+class TestSharedGate:
+    @pytest.mark.parametrize("k,lam", [(1.0, 2.0), (3.0, 1.0), (3.0, 400.0)])
+    def test_each_leg_matches_a_gate_of_its_own(self, k, lam):
+        # the moment legs and the operator legs of a job
+        params = NoncentralParams(k=k, lam=lam)
+        op = noncentral_chi2_operator(k, lam)
+        legs = [(lambda x: 1.0, 1e-10), (lambda x: x, 1e-8),
+                (lambda x: (x - params.mean) ** 2, 1e-8)]
+        legs += [(lambda x, f=f: operator_values(op, f, x), 1e-8)
+                 for f in default_suite()]
+        shared = resolved_density_integrals(params, legs)
+        assert [tuple(r) for r in shared] == [_gate_alone(params, func, tol)
+                                              for func, tol in legs]
+
+    def test_legs_stopping_at_different_panel_counts(self, monkeypatch):
+        # one leg resolves at the second panel count, another oscillates too
+        # fast to resolve and runs to the cap
+        monkeypatch.setattr(noncentral, "MAX_PANELS", 256)
+        params = NoncentralParams(k=3.0, lam=1.0)
+        legs = [(lambda x: np.sin(50.0 * x), 1e-12), (lambda x: 1.0, 1e-10),
+                (lambda x: x, 1e-8)]
+        shared = [tuple(r) for r in resolved_density_integrals(params, legs)]
+        assert shared == [_gate_alone(params, func, tol) for func, tol in legs]
+        assert [r[1:] for r in shared] == [(256, False), (64, True), (64, True)]
 
 
 def _mpmath_residual(k: float, lam: float, name: str, cutoff: float) -> float:

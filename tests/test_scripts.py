@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name: str, *args: str) -> str:
-    env = dict(os.environ)
+    # a warning that would reach a user's stderr fails the test
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],

@@ -14,7 +14,7 @@ from steinforge import gaussian, verify
 from steinforge.cli import main
 from steinforge.gaussian import (QuadratureValidationError, chunk_indices,
                                  gauss_hermite_rule)
-from steinforge.noncentral import NoncentralParams, resolved_density_integral
+from steinforge.noncentral import NoncentralParams, resolved_density_integrals
 from steinforge.operators import DiffOperator, expectation_applied
 from steinforge.poly import Polynomial, hermite, pushforward_moment
 from steinforge.testfunctions import (cosine, default_suite, gaussian_bump,
@@ -216,8 +216,8 @@ class TestTargetExpectation:
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_noncentral_mean(self):
-        result = resolved_density_integral(NoncentralParams(2, 0.5), monomial(1),
-                                           1e-10)
+        [result] = resolved_density_integrals(NoncentralParams(2, 0.5),
+                                              [(monomial(1), 1e-10)])
         assert result.resolved
         assert result.value == pytest.approx(2.5, abs=1e-10)
 
