@@ -325,7 +325,7 @@ def _reduce(P: Polynomial, terms: dict[Term, Fraction]):
 def _grid_matrix(P: Polynomial, M: int, D: int) -> list[list[int]]:
     """The normal forms of the images of every basis operator x^d f^(m),
     m <= M, d <= D, as one integer matrix over the scale r^D * L^E: a row
-    per term in term order, all-zero rows left out, and column m*(D + 1) + d.
+    per term (i, j) by j then i, all-zero rows left out, column m*(D + 1) + d.
 
     One sweep per degree d reduces P^d from level M. By the level-shift
     invariance (`_reduce`), column (m, d) is that sweep shifted down by

@@ -6,13 +6,15 @@ relies on these values being exact, so coefficients are `fractions.Fraction`
 throughout and every operation returns a trimmed canonical form. Hermite
 polynomials are probabilists': He(n+1) = x*He(n) - n*He(n-1), orthogonal
 for the weight exp(-x^2/2)/sqrt(2*pi). `power_table` is the one place powers
-and moments E[P(Z)^d] of a pushforward are built. The module uses no numpy.
+and moments E[P(Z)^d] of a pushforward are built; it builds a fresh table
+on every call, so no caller can change what another reads. The module keeps
+no state between calls beyond each Polynomial's own float coefficients, and
+uses no numpy.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 RationalLike = Union[int, float, str, Fraction]
@@ -252,7 +254,6 @@ class Polynomial:
         return f"Polynomial({self!s})"
 
 
-@lru_cache(maxsize=None)
 def hermite(n: int) -> Polynomial:
     """n-th probabilists' Hermite polynomial, exact."""
     if n < 0:
@@ -265,7 +266,6 @@ def hermite(n: int) -> Polynomial:
     return cur
 
 
-@lru_cache(maxsize=None)
 def gaussian_moment(n: int) -> Fraction:
     """E[Z^n] for standard Gaussian Z: 0 for odd n, (n-1)!! for even n."""
     if n < 0:
@@ -275,34 +275,32 @@ def gaussian_moment(n: int) -> Fraction:
     return Fraction(math.prod(range(1, n, 2)))
 
 
-# Per P: (r, powers, moments), r the lcm of P's denominators. powers[d]
-# holds the integer coefficients c_i of r^d P^d, each power one product
-# from the last, and moments[d] = E[P(Z)^d] = sum_i c_i E[Z^i] / r^d.
-_TABLES: dict[Polynomial, tuple[int, list[list[int]], list[Fraction]]] = {}
-
-
 def power_table(P: Polynomial, d: int
                 ) -> tuple[int, list[list[int]], list[Fraction]]:
     """(r, powers, moments) of P for degrees 0..d: the one place powers of
-    P are built. The table is cached per P and extended on demand; the
-    inner power lists are shared with it and must not be mutated."""
+    P are built, afresh on every call. r is the lcm of P's denominators,
+    powers[e] holds the integer coefficients c_i of r^e P^e, each power one
+    product from the last, and moments[e] = E[P(Z)^e] = sum_i c_i E[Z^i] / r^e.
+    """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    if P not in _TABLES:
-        _TABLES[P] = (math.lcm(*[c.denominator for c in P.coeffs]), [[1]],
-                      [Fraction(1)])
-    r, powers, moments = _TABLES[P]
-    base = [c.numerator * (r // c.denominator) for c in P.coeffs]
-    while len(powers) <= d:
-        product = [0] * max(len(powers[-1]) + len(base) - 1, 0)
+    r = math.lcm(*[c.denominator for c in P.coeffs])
+    base = [(s, c.numerator * (r // c.denominator))
+            for s, c in enumerate(P.coeffs) if c]
+    powers, moments = [[1]], [Fraction(1)]
+    even = [1]  # even[j] = E[Z^(2j)] = (2j - 1)!!, a running product
+    for e in range(1, d + 1):
+        product = [0] * max(len(powers[-1]) + len(P.coeffs) - 1, 0)
         for t, c in enumerate(powers[-1]):
-            for s, b in enumerate(base):
-                product[t + s] += c * b
+            if c:  # an odd or even P has every other coefficient zero
+                for s, b in base:
+                    product[t + s] += c * b
+        while 2 * len(even) < len(product):
+            even.append(even[-1] * (2 * len(even) - 1))
         moments.append(Fraction(
-            sum(c * gaussian_moment(2 * j).numerator
-                for j, c in enumerate(product[::2])), r ** len(powers)))
+            sum(c * m for c, m in zip(product[::2], even)), r ** e))
         powers.append(product)
-    return r, powers[:d + 1], moments[:d + 1]
+    return r, powers, moments
 
 
 def pushforward_moment(P: Polynomial, d: int) -> Fraction:

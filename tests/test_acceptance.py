@@ -485,7 +485,7 @@ def term_integrals(rule, P: Polynomial, f, max_i: int, max_j: int) -> np.ndarray
 
 
 def vector_value(vec: ExpectationVector, table: np.ndarray) -> float:
-    return sum(float(c) * table[i, j] for (i, j), c in vec.items())
+    return sum(float(c) * table[i, j] for (i, j), c in vec.as_dict().items())
 
 
 def test_criterion_9_identity_soundness():
@@ -506,8 +506,8 @@ def test_criterion_9_identity_soundness():
         identities = [ibp_identity(int(rng.integers(1, 9)),
                                    int(rng.integers(0, 5)), P)
                       for _ in range(50)]
-        max_i = max(i for vec in identities for (i, _), _ in vec.items())
-        max_j = max(j for vec in identities for (_, j), _ in vec.items())
+        max_i = max(i for vec in identities for i, _ in vec.as_dict())
+        max_j = max(j for vec in identities for _, j in vec.as_dict())
         table = term_integrals(reference_rule(PANELS), P, f, max_i, max_j)
         doubled = term_integrals(reference_rule(2 * PANELS), P, f, max_i, max_j)
         bad = 0
@@ -525,8 +525,9 @@ def test_criterion_9_identity_soundness():
         if control is None:
             # negative control: the first identity with its leading
             # coefficient bumped by +1 is no longer a zero-mean vector
-            lead = identities[0].support()[-1]
-            bumped = identities[0] + ExpectationVector({lead: 1})
+            lead = max(identities[0].as_dict(), key=lambda t: (t[1], t[0]))
+            bumped = ExpectationVector([*identities[0].as_dict().items(),
+                                        (lead, 1)])
             control = (f"{name} {lead}", vector_value(bumped, table))
     ok = not failures and not unconverged and abs(control[1]) > TOL
     report(9, ok,

@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from steinforge import cli
+from steinforge.catalog import noncentral_chi2_operator
 from steinforge.cli import (MAX_DIGITS, PolynomialSyntaxError, build_parser,
                             main, parse_polynomial)
 from steinforge.derivation import derive_operator
+from steinforge.operators import DiffOperator
 from steinforge.poly import Polynomial, hermite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -433,18 +436,49 @@ def test_noncentral_k_beyond_float64_rule_is_a_usage_error(k, capsys):
         f"weights, scaled by its half-width to the power k/2, overflow\n")
 
 
-@pytest.mark.parametrize("k", ["1e-20", "1e-16", "4e-16"])
+@pytest.mark.parametrize("k", ["1e-20", "1e-16", "4e-16", "1e-12", "1e-7",
+                               "1e-6", "9.99e-6"])
 def test_noncentral_k_near_0_rule_is_a_usage_error(k, capsys):
-    # k/2 - 1 rounds to -1 (1e-20, 1e-16), so the rule's mass divides by 0,
-    # or lies so close to it that a node rounds below -1 (4e-16); warnings
-    # are errors here, so a usage error also shows that none reached stderr
+    # below MIN_K = 1e-5 the rounding of k/2 = (k/2 - 1) + 1 moves the
+    # normalization by more than 1e-11 (1e-12 exited 1 on the correct
+    # operator), and from about 2e-13 down the first panel's rule does not
+    # build at all; warnings are errors here, so a usage error also shows
+    # that none reached stderr
     code = main(["noncentral", "--k", k, "--lambda", "1", "--verify"])
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""
     assert captured.err == (
-        f"error: noncentral density rule does not build in float64 at "
-        f"k = {float(k)}, lambda = 1.0: the first panel's Gauss-Jacobi rule "
-        f"does not build: k/2 - 1 is too close to -1\n")
+        f"error: noncentral density rule is refused at k = {float(k)}, "
+        f"lambda = 1.0: below k = 1e-05, forming k/2 as (k/2 - 1) + 1 in "
+        f"float64 moves the normalization by more than 1e-11\n")
+
+
+@pytest.mark.parametrize("k,lam", [("0.5", "0"), ("0.1", "0"), ("0.01", "0.01"),
+                                   ("1e-4", "0"), ("1e-5", "0.01"), ("1e-5", "1")])
+def test_noncentral_small_k_and_lambda_verify(k, lam, capsys):
+    # mean + 40 standard deviations left mass beyond the cutoff here
+    # (normalization 0.99999928 at k = 0.1, lambda = 0, exit 1); the floor
+    # (sqrt(lambda) + 7)^2 leaves at most 2 Phi(-7) < 3e-12 beyond it
+    code = main(["noncentral", "--k", k, "--lambda", lam, "--verify"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["pass"] is True
+    assert abs(payload["density_checks"]["normalization"] - 1) <= 1e-11
+
+
+def test_noncentral_bumped_operator_fails_at_small_k(monkeypatch, capsys):
+    # negative control: under the floored cutoff the catalog operator with
+    # its constant coefficient bumped by +1 still fails on a resolved leg
+    def bumped(k, lam):
+        rows = [list(p.coeffs) for p in noncentral_chi2_operator(k, lam).coefficients]
+        rows[0][0] += 1
+        return DiffOperator.from_rows(rows)
+
+    monkeypatch.setattr(cli, "noncentral_chi2_operator", bumped)
+    code = main(["noncentral", "--k", "0.1", "--lambda", "0", "--verify"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["pass"] is False
+    assert any(t["params"]["resolved"] and not t["pass"] for t in
+               payload["density_checks"]["operator_report"]["tests"])
 
 
 def test_noncentral_k_300_still_verifies(capsys):

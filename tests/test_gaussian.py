@@ -1,6 +1,7 @@
 """Hermite polynomials, Gaussian moments, quadrature, sampling."""
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinforge import gaussian
+from steinforge.derivation import derive_operator, operator_image, verify_certificate
 from steinforge.gaussian import (QuadratureValidationError, _scaled_moments,
                                  _validate_rule, chunk_indices, chunk_normals,
                                  gauss_hermite_rule)
 from steinforge.poly import (Polynomial, gaussian_moment, hermite, power_table,
                              pushforward_moment)
+from steinforge.verify import verify_symbolic
 from test_derivation import rational_polys
 
 
@@ -86,6 +89,29 @@ def test_power_table_refuses_negative_degrees():
         power_table(hermite(3), -1)
     with pytest.raises(ValueError):
         pushforward_moment(hermite(3), -1)
+
+
+def test_power_table_edits_reach_no_later_caller():
+    # every call builds its own table: editing in place every list one call
+    # returns changes no later table, operator image, symbolic check or
+    # certificate replay for the same P
+    H3 = hermite(3)
+    result = derive_operator(H3, 5, 2)
+    op = result.operator
+    table = copy.deepcopy(power_table(H3, 40))
+    image = operator_image(op, H3)
+    symbolic = verify_symbolic(op, H3).to_dict()
+    assert symbolic["pass"] and verify_certificate(result, H3)
+    r, powers, moments = power_table(H3, 40)
+    for power in powers:
+        power[0] += 1
+    powers.append([1])
+    moments[2] += 1
+    moments.append(Fraction(1))
+    assert power_table(H3, 40) == table
+    assert operator_image(op, H3) == image
+    assert verify_symbolic(op, H3).to_dict() == symbolic
+    assert verify_certificate(result, H3)
 
 
 def test_hermite_orthogonality():
