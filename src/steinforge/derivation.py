@@ -63,26 +63,36 @@ reach the exact kernel. No Fraction is made between `poly.power_table` and
 the kernel.
 
 The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
-row of a cell is divided by its gcd, and one elimination modulo the prime
-p = 2^31 - 1, in Python ints, picks r pivot rows and columns, taking the
-columns last to first. Rank mod p <= rank over Q, so a cell with no free
-column mod p is infeasible for certain. Otherwise fraction-free Bareiss
-elimination on the r x r pivot minor gives one integer vector per free
-column f: nonzero at f, zero at every other free column. An exact check on
-every row gates them: A v = 0, and v zero at every column below f. Then the
-k = ncols - r vectors are independent kernel vectors, and the nullity is at
-most k, so they span the kernel. A vector that fails the check shows that
-the residues lost rank, over the whole matrix or over the columns above f,
-and the Fraction `_nullspace`, eliminating in the same order, decides the
-cell instead.
+row of a cell is divided by its gcd, and one elimination modulo a prime p,
+at first 2^31 - 1, in Python ints, picks r pivot rows and columns, taking
+the columns last to first. Rank mod p <= rank over Q, so a cell with no
+free column mod p is infeasible for certain. Otherwise fraction-free
+Bareiss elimination on the r x r pivot minor gives one integer vector per
+free column f: nonzero at f, zero at every other free column. An exact
+check on every row gates them: A v = 0, and v zero at every column below f.
+Then the k = ncols - r vectors are independent kernel vectors, and the
+nullity is at most k, so they span the kernel. A vector that fails the
+check shows that the residues lost rank, over the whole matrix or over the
+columns above f, and the same elimination runs again under the next prime.
 
-So both paths give the kernel's basis in one canonical form, by
-construction: in increasing leading column, each vector's leading column
-is its own free column and every other vector is zero there. That is the
-kernel's reduced row echelon basis up to the scale of each vector, and it
-is unique, so the operator and basis reported do not depend on the path;
-`normalize_operator` fixes each scale. The first vector has the smallest
-leading column, hence the lexicographically smallest support.
+The retry ends. Take the column prefixes in the elimination order, last
+column first, and fix for each prefix one nonzero minor of the size of its
+rank over Q. A prime that divides none of these minors gives every prefix
+its rank over Q. Then the free columns mod p are the free columns over Q,
+and the pivot rows, independent over Q and as many as the rank, span the
+row space. The dependence of a free column f on the pivot columns above it
+is a kernel vector zero below f that satisfies the pivot rows, and the
+nonsingular minor makes it the only one, so it is f's Bareiss vector up to
+scale and passes both checks of the gate. Only finitely many primes divide
+those minors, so the loop ends.
+
+A basis that passes the gate is in one canonical form: in increasing
+leading column, each vector's leading column is its own free column and
+every other vector is zero there. That is the kernel's reduced row echelon
+basis up to the scale of each vector, and it is unique, so the operator and
+basis reported do not depend on the prime; `normalize_operator` fixes each
+scale. The first vector has the smallest leading column, hence the
+lexicographically smallest support.
 """
 from __future__ import annotations
 
@@ -374,69 +384,32 @@ def _cell_rows(grid: list[list[int]], D: int, m: int, d: int) -> list[list[int]]
     return rows
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of the Fraction matrix `rows` in canonical form.
-
-    The columns are eliminated last to first, as `_exact_kernel` takes them:
-    `_rref` runs on the rows reversed, so a free column f depends only on
-    the pivot columns above it. Its vector is 1 at f, zero at the other free
-    columns and below f; the vectors come in increasing f.
-    """
-    flipped, pivots = _rref([row[::-1] for row in rows if any(row)])
-    basis = []
-    for fc in range(ncols - 1, -1, -1):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -flipped[r][fc]
-        basis.append(vec[::-1])
-    return basis
-
-
-# 2^31 - 1. Rank mod p never exceeds rank over Q, and a prime this large
-# rarely makes it drop below; products of two residues stay below 2^62.
+# 2^31 - 1, the first prime of every elimination. Rank mod p never exceeds
+# rank over Q, and a prime this large rarely makes it drop below; products
+# of two residues stay below 2^62.
 _PRIME = 2_147_483_647
 
 
-def _residues(rows: list[list[int]], columns: Iterable[int]) -> list[list[int]]:
+def _next_prime(n: int) -> int:
+    """The least prime above n, by trial division."""
+    n += 1
+    while n < 2 or any(n % k == 0 for k in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _residues(rows: list[list[int]], columns: Iterable[int],
+              p: int) -> list[list[int]]:
     """The columns of `rows` named by `columns`, in that order, each a list
-    of its entries mod _PRIME: a fresh matrix for `_residue_pivots`."""
-    p = _PRIME
+    of its entries mod the prime p: a fresh matrix for `_residue_pivots`."""
     return [[row[c] % p for row in rows] for c in columns]
 
 
-def _residue_pivots(columns: list[list[int]]):
-    """Gaussian elimination mod _PRIME of the matrix given by its
+def _residue_pivots(columns: list[list[int]], p: int):
+    """Gaussian elimination mod the prime p of the matrix given by its
     `columns`, one column at a time, in place. Yields (column, row) per
     column: the index of the row that pivots the column, or None when the
-    column depends on the earlier ones mod _PRIME.
+    column depends on the earlier ones mod p.
 
     Each column is first reduced by the pivots before it (left-looking), so
     a caller that stops early leaves the later columns untouched. The pivot
@@ -450,7 +423,6 @@ def _residue_pivots(columns: list[list[int]]):
     principal minors, in pivot order, are all nonzero mod p, hence nonzero
     over Q.
     """
-    p = _PRIME
     order = list(range(len(columns[0]) if columns else 0))
     pivots: list[tuple[int, list[tuple[int, int]]]] = []
     for c, x in enumerate(columns):
@@ -521,16 +493,17 @@ def _annihilates(rows: list[list[int]], vec: list[int]) -> bool:
 
 
 def _exact_kernel(rows: list[list[int]], ncols: int,
-                  first_only: bool = False) -> list[list]:
+                  first_only: bool = False) -> list[list[int]]:
     """The kernel basis of the integer matrix `rows`, in the canonical form
     the module docstring proves; with `first_only`, one nonzero kernel
     vector if there is one. [] means the kernel is zero.
 
-    The residues, taken from the last column to the first, pick r pivots;
-    no free column means full rank mod p, hence over Q. `_bareiss_kernel`
-    gives one vector per free column f, in increasing f. The gate, A v = 0
-    and v zero below f, passes them as the basis, or sends the cell to
-    `_nullspace` when the residues lost rank.
+    The residues mod p, taken from the last column to the first, pick r
+    pivots; no free column means full rank mod p, hence over Q.
+    `_bareiss_kernel` gives one integer vector per free column f, in
+    increasing f. The gate, A v = 0 and v zero below f, passes them as the
+    basis; when it rejects one, the residues lost rank, and the elimination
+    runs again under the next prime, which ends (module docstring).
     """
     # Eliminating from the last column (highest order and degree) first
     # keeps the leading minors, which bound every Bareiss entry, smaller in
@@ -538,20 +511,22 @@ def _exact_kernel(rows: list[list[int]], ncols: int,
     # the first 90 of 127 steps, where the natural order passes 2000 bits by
     # step 45, and the five solves take 2.5 s instead of 6.6 s.
     order = range(ncols - 1, -1, -1)
-    pivots, free = [], []
-    for c, r in _residue_pivots(_residues(rows, order)):
-        if r is None:
-            free.append(order[c])
-        else:
-            pivots.append((r, order[c]))
-    if not free:
-        return []
-    free = free[::-1][:1] if first_only else free[::-1]
-    vectors = _bareiss_kernel(rows, ncols, pivots, free)
-    if all(not any(v[:f]) and _annihilates(rows, v)
-           for v, f in zip(vectors, free)):
-        return vectors
-    return _nullspace([[Fraction(v) for v in row] for row in rows], ncols)
+    p = _PRIME
+    while True:
+        pivots, free = [], []
+        for c, r in _residue_pivots(_residues(rows, order, p), p):
+            if r is None:
+                free.append(order[c])
+            else:
+                pivots.append((r, order[c]))
+        if not free:
+            return []
+        free = free[::-1][:1] if first_only else free[::-1]
+        vectors = _bareiss_kernel(rows, ncols, pivots, free)
+        if all(not any(v[:f]) and _annihilates(rows, v)
+               for v, f in zip(vectors, free)):
+            return vectors
+        p = _next_prime(p)
 
 
 def _solve_cell(P: Polynomial, rows: list[list[int]],
@@ -659,39 +634,38 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
 
     Each grid column x^d f^(m) is reduced once. Cell (m, d) is then the column
     subset m' <= m, d' <= d, and it is feasible exactly when that subset is
-    linearly dependent. Cells are decided in lexicographic order:
-    - a cell above a found cell is found: the smaller cell's operator works;
+    linearly dependent. Found cells form an up-set, since the smaller cell's
+    operator works in a larger one, so one running frontier, the least
+    degree found so far, holds every status: cell (m, d) is found exactly
+    when d >= frontier. Row m decides its cells in increasing degree, up to
+    the frontier and only until its first find:
     - a cell whose columns have full rank mod _PRIME is infeasible;
     - any other cell is decided by `_exact_kernel` on the grid's columns:
       until the first find by `_solve_cell`, as `derive_operator` solves it
       on the cell's own, and after it by one exact kernel vector, since a
       later cell needs only its status.
-    The residue rank only rules cells out, and only where that is certain.
+    The residue rank only rules cells out, and that is certain under any
+    prime.
     """
     check_input(P, max_order, max_coeff_degree)
     M, D = max_order, max_coeff_degree
     grid = _grid_matrix(P, M, D)
-    residues = _residues(grid, range((M + 1) * (D + 1)))
+    residues = _residues(grid, range((M + 1) * (D + 1)), _PRIME)
     status: dict[tuple[int, int], str] = {}
-    found: list[tuple[int, int]] = []
+    frontier = D + 1
     minimal = None
     result = None
     for m in range(M + 1):
         # order <= m columns by degree, so cell (m, d) is a prefix
-        columns = [(mm, d) for d in range(D + 1) for mm in range(m + 1)]
+        columns = [(mm, d) for d in range(frontier) for mm in range(m + 1)]
         # every prefix before the first column that depends on the earlier
         # ones mod _PRIME has full column rank over Q (a minor nonzero mod p
         # is nonzero over Q)
-        first = next((c for c, row in _residue_pivots(
-            [residues[mm * (D + 1) + d][:] for mm, d in columns])
-            if row is None), len(columns))
-        full_rank_below = columns[first][1] if first < len(columns) else D + 1
-        for d in range(D + 1):
-            if any(fm <= m and fd <= d for fm, fd in found):
-                feasible = True
-            elif d < full_rank_below:
-                feasible = False
-            elif result is None:
+        start = next((columns[c][1] for c, row in _residue_pivots(
+            [residues[mm * (D + 1) + d][:] for mm, d in columns], _PRIME)
+            if row is None), frontier)
+        for d in range(start, frontier):
+            if result is None:
                 result = _solve_cell(P, _cell_rows(grid, D, m, d),
                                      default_bounds(P, m, d))
                 feasible = result is not None
@@ -701,8 +675,10 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
                 feasible = bool(_exact_kernel(_cell_rows(grid, D, m, d),
                                               (m + 1) * (d + 1), first_only=True))
             if feasible:
-                found.append((m, d))
-            status[(m, d)] = "found" if feasible else "infeasible-at-bounds"
+                frontier = d
+                break
+        status.update(((m, d), "found" if d >= frontier else
+                       "infeasible-at-bounds") for d in range(D + 1))
     return ScanResult(poly=P, max_order=max_order,
                       max_coeff_degree=max_coeff_degree,
                       grid=status, minimal=minimal, result=result)

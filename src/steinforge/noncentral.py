@@ -44,7 +44,8 @@ from .gaussian import golub_welsch
 
 @dataclass(frozen=True)
 class NoncentralParams:
-    """Finite degrees of freedom k > 0 and finite noncentrality lam >= 0."""
+    """Finite degrees of freedom k > 0 and finite noncentrality lam >= 0,
+    with a finite mean and variance."""
 
     k: float
     lam: float
@@ -56,6 +57,11 @@ class NoncentralParams:
             raise ValueError("degrees of freedom must be positive")
         if self.lam < 0:
             raise ValueError("noncentrality must be nonnegative")
+        # the mean k + lam is at most the variance, so this covers both
+        if not math.isfinite(self.variance):
+            raise ValueError(
+                f"noncentral variance 2(k + 2 lambda) overflows float64 at "
+                f"k = {self.k}, lambda = {self.lam}")
 
     @property
     def mean(self) -> float:

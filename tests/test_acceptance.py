@@ -21,8 +21,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steinforge.catalog import (catalog, noncentral_chi2_operator,
-                                quadratic_operator, verify_table1_extrema)
+from steinforge.catalog import (_EXTREMA, ExtremaData, RadicalValue, catalog,
+                                noncentral_chi2_operator, quadratic_operator,
+                                verify_table1_extrema)
 from steinforge.derivation import (derive_operator, ibp_identity, minimal_scan,
                                    verify_certificate)
 from steinforge.gaussian import gauss_hermite_rule
@@ -362,7 +363,26 @@ def test_criterion_7_extrema_table():
     vals6 = sorted(c.expected for c in reports[6].checks if c.kind == "min")
     assert vals6 == pytest.approx([-20 * (2 + math.sqrt(10))] * 2 + [-15.0])
     report(7, ok, "critical points located and matched at 1e-10 for n=2..6")
-    assert ok, {n: r.to_dict() for n, r in reports.items() if not r.passed}
+    assert ok, _extrema_failures(reports)
+
+
+def _extrema_failures(reports) -> dict:
+    """The failing checks of each failing extrema report, by n."""
+    return {n: [c for c in r.checks if not c.passed]
+            for n, r in reports.items() if not r.passed}
+
+
+def test_criterion_7_failure_message_names_the_failing_check(monkeypatch):
+    # H4's one maximum 3, shifted by 1e-9 as in tests/test_catalog.py, must
+    # show up in the message rather than break its rendering
+    monkeypatch.setitem(_EXTREMA, 4, ExtremaData(
+        maxima=(RadicalValue.exact(3 + Fraction(1, 10 ** 9)),),
+        minima=_EXTREMA[4].minima))
+    reports = {n: verify_table1_extrema(n, tolerance=1e-10) for n in range(2, 7)}
+    failures = _extrema_failures(reports)
+    assert list(failures) == [4]
+    assert [c.kind for c in failures[4]] == ["max"]
+    assert "kind='max'" in str(failures)
 
 
 def _conjecture_case(n: int, max_order: int, max_degree: int,

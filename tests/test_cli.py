@@ -436,6 +436,18 @@ def test_noncentral_k_beyond_float64_rule_is_a_usage_error(k, capsys):
         f"weights, scaled by its half-width to the power k/2, overflow\n")
 
 
+@pytest.mark.parametrize("k,lam", [("1e308", "0"), ("1e308", "1e308")])
+def test_noncentral_variance_beyond_float64_is_a_usage_error(k, lam, capsys):
+    # 2(k + 2 lambda) is inf although k and lambda are finite; the refusal
+    # comes before any payload, so no "inf" reaches the JSON encoder
+    code = main(["noncentral", "--k", k, "--lambda", lam])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == (
+        f"error: noncentral variance 2(k + 2 lambda) overflows float64 at "
+        f"k = {float(k)}, lambda = {float(lam)}\n")
+
+
 @pytest.mark.parametrize("k", ["1e-20", "1e-16", "4e-16", "1e-12", "1e-7",
                                "1e-6", "9.99e-6"])
 def test_noncentral_k_near_0_rule_is_a_usage_error(k, capsys):

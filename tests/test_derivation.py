@@ -14,8 +14,8 @@ from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationError, DerivationResult, ScanResult,
                                    SearchBounds, _PRIME, _cell_rows, _reduce,
-                                   _exact_kernel, _grid_matrix, _nullspace,
-                                   _residue_pivots, _residues, _rref,
+                                   _exact_kernel, _grid_matrix, _next_prime,
+                                   _residue_pivots, _residues,
                                    default_bounds, derive_operator,
                                    ibp_identity, minimal_scan, operator_image,
                                    verify_certificate)
@@ -63,6 +63,61 @@ def rational_matrices(draw):
 # (test_gate_rejects_a_vector_nonzero_below_its_free_column).
 RESIDUE_SHAPE_TRAP = [[Fraction(v) for v in row]
                       for row in ([0, 0, 1, 1], [1, 1, _PRIME, 0])]
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Dense reference: the kernel basis of the Fraction matrix `rows` in
+    canonical form, by Gauss-Jordan.
+
+    The columns are eliminated last to first, as `_exact_kernel` takes them:
+    `_rref` runs on the rows reversed, so a free column f depends only on
+    the pivot columns above it. Its vector is 1 at f, zero at the other free
+    columns and below f; the vectors come in increasing f.
+    """
+    flipped, pivots = _rref([row[::-1] for row in rows if any(row)])
+    basis = []
+    for fc in range(ncols - 1, -1, -1):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -flipped[r][fc]
+        basis.append(vec[::-1])
+    return basis
+
+
+def _counting_next_prime(monkeypatch) -> list[int]:
+    """Record the argument of every `_next_prime` call in the returned list."""
+    calls: list[int] = []
+    monkeypatch.setattr(derivation, "_next_prime",
+                        lambda n: calls.append(n) or _next_prime(n))
+    return calls
 
 
 def _proportional_vectors(got, want) -> bool:
@@ -312,15 +367,25 @@ class TestExactKernel:
     def test_matches_fraction_nullspace(self, matrix):
         # the Fraction reference's vectors in its order, each up to a
         # nonzero scale, whether the residue rank is right or the gate has
-        # to fall back
+        # to retry under the next prime
+        self.check_against_reference(matrix)
+
+    def check_against_reference(self, matrix):
+        """`_exact_kernel` gives integer vectors proportional to the
+        `_nullspace` reference's, and with `first_only` one nonzero kernel
+        vector, which under a lost rank the gate may pass although it is
+        not the reference's first."""
         ncols = len(matrix[0])
         rows = self.integer_rows(matrix)
         reference = _nullspace([row[:] for row in matrix], ncols)
-        assert _proportional_vectors(_exact_kernel(rows, ncols), reference)
+        kernel = _exact_kernel(rows, ncols)
+        assert all(type(v) is int for vec in kernel for v in vec)
+        assert _proportional_vectors(kernel, reference)
         first = _exact_kernel(rows, ncols, first_only=True)
-        assert len(first) >= 1 if reference else first == []
+        assert len(first) == 1 if reference else first == []
         for vec in first:
-            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+            assert any(vec) and all(
+                sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
 
     @settings(deadline=None, max_examples=200)
     @given(rational_matrices())
@@ -329,7 +394,7 @@ class TestExactKernel:
     @example([[Fraction(0)] * 3] * 2)
     @example(RESIDUE_SHAPE_TRAP)
     def test_kernel_is_in_canonical_form(self, matrix):
-        # on the Bareiss path, on the fallback the examples force, and in
+        # at the first prime, after the retries the examples force, and in
         # the reference: leading columns strictly increase, and each vector
         # is zero at every other vector's leading column
         ncols = len(matrix[0])
@@ -344,16 +409,53 @@ class TestExactKernel:
         # mod _PRIME column 2 depends on column 3, so 2 is free, but over Q
         # its vector needs column 1: both vectors annihilate the rows, yet
         # (1, -1, 0, 0) is not the echelon row (p, 0, -1, 1); the gate must
-        # send the cell to _nullspace
-        fallbacks = []
-        real = derivation._nullspace
-        monkeypatch.setattr(derivation, "_nullspace", lambda rows, ncols:
-                            fallbacks.append(ncols) or real(rows, ncols))
+        # send the cell to the next prime, which gives the echelon rows
+        retries = _counting_next_prime(monkeypatch)
         rows = self.integer_rows(RESIDUE_SHAPE_TRAP)
-        assert _exact_kernel(rows, 4) == [
-            [1, 0, Fraction(-1, _PRIME), Fraction(1, _PRIME)],
-            [0, 1, Fraction(-1, _PRIME), Fraction(1, _PRIME)]]
-        assert fallbacks == [4]
+        assert _exact_kernel(rows, 4) == [[_PRIME, 0, -1, 1], [0, _PRIME, -1, 1]]
+        assert retries == [_PRIME]
+
+    def test_retry_walks_the_primes_until_the_rank_holds(self, monkeypatch):
+        # column 2's entry 105 = 3 * 5 * 7 vanishes mod each of those primes,
+        # so the gate rejects the candidates three times; 11 keeps the rank
+        monkeypatch.setattr(derivation, "_PRIME", 3)
+        retries = _counting_next_prime(monkeypatch)
+        assert _exact_kernel([[0, 0, 1, 1], [1, 1, 105, 0]], 4) == [
+            [105, 0, -1, 1], [0, 105, -1, 1]]
+        assert retries == [3, 5, 7]
+
+    def test_gate_is_what_catches_a_lost_rank(self, monkeypatch):
+        # negative control: det [[1, 1], [1, 4]] = 3, so mod 3 column 0 is
+        # free and its candidate (1, -1) fails the second row. Without the
+        # gate that wrong kernel is returned; with it, one retry under 5
+        # shows full rank.
+        rows = [[1, 1], [1, 4]]
+        monkeypatch.setattr(derivation, "_PRIME", 3)
+        retries = _counting_next_prime(monkeypatch)
+        assert _exact_kernel(rows, 2) == []
+        assert retries == [3]
+        monkeypatch.setattr(derivation, "_annihilates", lambda rows, vec: True)
+        assert _exact_kernel(rows, 2) == [[1, -1]]
+
+    def test_next_prime_matches_a_sieve(self):
+        sieve = [True] * 10_000
+        sieve[0] = sieve[1] = False
+        for n in range(2, 100):
+            if sieve[n]:
+                sieve[n * n::n] = [False] * len(sieve[n * n::n])
+        primes = [n for n, is_prime in enumerate(sieve) if is_prime]
+        assert [_next_prime(n) for n in range(-2, 9973)] == [
+            next(q for q in primes if q > n) for n in range(-2, 9973)]
+        assert _next_prime(_PRIME) == 2_147_483_659
+
+    @settings(deadline=None, max_examples=200)
+    @given(rational_matrices())
+    @example(RESIDUE_SHAPE_TRAP)
+    @example([[Fraction(3), Fraction(6)], [Fraction(1), Fraction(5)]])
+    def test_matches_fraction_nullspace_at_prime_three(self, matrix):
+        # mod 3 the residues often lose rank, so most retries happen here
+        with mock.patch.object(derivation, "_PRIME", 3):
+            self.check_against_reference(matrix)
 
     @staticmethod
     def dense_pivots(rows, ncols, p):
@@ -384,28 +486,20 @@ class TestExactKernel:
     def test_residue_pivots_match_dense_reference(self, prime, matrix):
         ncols = len(matrix[0])
         rows = self.integer_rows(matrix)
-        with mock.patch.object(derivation, "_PRIME", prime):
-            got = list(_residue_pivots(_residues(rows, range(ncols))))
+        got = list(_residue_pivots(_residues(rows, range(ncols), prime), prime))
         assert got == self.dense_pivots(rows, ncols, prime)
 
-    def test_prime_three_falls_back_and_grids_match(self, monkeypatch):
+    def test_prime_three_retries_and_grids_match(self, monkeypatch):
         # mod 3 many residue ranks fall short of the rational rank, so the
-        # exact check must reject candidates and _nullspace must decide
+        # exact check must reject candidates and a larger prime must decide
         cases = [(H3, 5, 4), (H4, 5, 4), (hermite(5), 5, 4)]
         references = [minimal_scan(*case).to_dict() for case in cases]
         derived = brute_force_scan(H3, 5, 4).to_dict()
-        fallbacks = []
-        real = derivation._nullspace
-
-        def counting(rows, ncols):
-            fallbacks.append(ncols)
-            return real(rows, ncols)
-
-        monkeypatch.setattr(derivation, "_nullspace", counting)
         monkeypatch.setattr(derivation, "_PRIME", 3)
+        retries = _counting_next_prime(monkeypatch)
         for case, reference in zip(cases, references):
             assert minimal_scan(*case).to_dict() == reference
-        assert fallbacks
+        assert retries
         assert brute_force_scan(H3, 5, 4).to_dict() == derived
 
 
