@@ -2,7 +2,9 @@
 
 The weight is the standard Gaussian density exp(-x^2/2)/sqrt(2*pi). Rules
 are built with numpy alone (golub_welsch, which noncentral's Gauss-Jacobi
-panel rule shares) and checked against exact Gaussian moments.
+panel rule shares) and checked against exact Gaussian moments. Normals come
+in seeded chunks, drawn in blocks of _BLOCK samples; Monte Carlo evaluates
+them in the same blocks and sums over the whole chunk.
 """
 from __future__ import annotations
 
@@ -156,6 +158,9 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CHUNK = 1 << 16
+# Samples per block: chunks are drawn and evaluated in blocks, so each
+# temporary is 32 KB; only sums see the whole chunk.
+_BLOCK = 1 << 12
 
 
 def _normal_chunk(seed: int, index: int) -> np.ndarray:
@@ -163,18 +168,20 @@ def _normal_chunk(seed: int, index: int) -> np.ndarray:
 
     Uniforms come from a counter-based Philox stream and are mapped through
     the Box-Muller transform, so chunk i is the same regardless of how many
-    chunks were drawn before it.
+    chunks were drawn before it. The chunk is filled in blocks of _BLOCK
+    samples; consecutive draws continue one stream and Box-Muller maps each
+    pair on its own, so the bytes are those of one whole-chunk draw.
     """
     key = np.array([seed % (1 << 64), index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random(_CHUNK)
-    u1 = 1.0 - u[0::2]  # in (0, 1]: keeps log() finite
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
     out = np.empty(_CHUNK)
-    out[0::2] = r * np.cos(angle)
-    out[1::2] = r * np.sin(angle)
+    for start in range(0, _CHUNK, _BLOCK):
+        u = gen.random(_BLOCK)
+        # 1 - u is in (0, 1], so log() is finite
+        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+        angle = 2.0 * np.pi * u[1::2]
+        out[start:start + _BLOCK:2] = r * np.cos(angle)
+        out[start + 1:start + _BLOCK:2] = r * np.sin(angle)
     return out
 
 

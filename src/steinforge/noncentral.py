@@ -292,12 +292,14 @@ def _density_rule(params: NoncentralParams,
             f"weights, scaled by its half-width to the power k/2, overflow"
         ) from None
     first = 0.5 * width * (t + 1.0)
-    first_w = first_w * np.exp(_log_density_factor(first, params))
     u, wl = _jacobi_rule(0.0)
     left = width * np.arange(1, panels)[:, None]
     rest = (left + 0.5 * width * (u + 1.0)).ravel()
-    rest_w = np.tile(0.5 * width * wl, panels - 1) * np.exp(
-        power * np.log(rest) + _log_density_factor(rest, params))
+    # lam x overflows from about lam = 1e155; non-finite weights are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        first_w = first_w * np.exp(_log_density_factor(first, params))
+        rest_w = np.tile(0.5 * width * wl, panels - 1) * np.exp(
+            power * np.log(rest) + _log_density_factor(rest, params))
     nodes = np.concatenate([first, rest])
     weights = np.concatenate([first_w, rest_w])
     if not np.all(np.isfinite(weights)):

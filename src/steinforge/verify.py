@@ -15,11 +15,12 @@ non-polynomial f. Monte Carlo: seeded chunked sampling with a five
 standard-error gate, so a correct operator fails a single test with
 probability below 1e-6. One Monte Carlo pass serves the whole suite: each
 chunk is drawn once, P and the operator's coefficients are evaluated on it
-once, and each function keeps its own running sums, so every function's
-estimate is the one a pass of its own would give. Every route applies the
-operator through the factored derivatives of `testfunctions`, so each
-transcendental factor of a test function (sin, cos or exp) is evaluated
-once per point set, not once per derivative order.
+once, in blocks; sums run over the whole chunk, and each function keeps its
+own running sums, so every function's estimate is the one a pass of its own
+would give. Every route applies the operator through the factored
+derivatives of `testfunctions`, so each transcendental factor of a test
+function (sin, cos or exp) is evaluated once per point set, not once per
+derivative order.
 
 Noncentral chi-square has no polynomial pushforward; its density route
 integrates the moments and each (A f) against the density in one pass of
@@ -35,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import chunk_indices, chunk_normals, gauss_hermite_rule
+from .gaussian import (_BLOCK, _CHUNK, chunk_indices, chunk_normals,
+                       gauss_hermite_rule)
 from .noncentral import NoncentralParams, resolved_density_integrals
 from .operators import DiffOperator, moment_relation
 from .poly import Polynomial, power_table
@@ -162,23 +164,31 @@ def verify_monte_carlo(op: DiffOperator, P: Polynomial,
 
     Sampling is chunked by (seed, chunk index), so the estimate is identical
     regardless of chunking. Each chunk is drawn once and the operator's
-    coefficients are evaluated on it once; every suite function keeps its
-    own running sums, added chunk by chunk in the same order.
+    coefficients are evaluated on it once, block by block of gaussian._BLOCK
+    samples into one value buffer, so no temporary grows with the chunk.
+    Sums run over each whole buffered row, so they are those of a whole-chunk
+    evaluation; every suite function keeps its own running sums, added chunk
+    by chunk in the same order.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
     if samples > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES:.0e} Monte Carlo samples")
     suite = tuple(suite) or default_suite()
-    draws = (P.eval_float(chunk_normals(seed, idx, samples))
-             for idx in chunk_indices(samples))
     totals = [0.0] * len(suite)
     totals_sq = [0.0] * len(suite)
+    values = np.empty((len(suite), _CHUNK))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for w in draws:
-            coefficients = _coefficient_values(op, w)
-            for i, f in enumerate(suite):
-                vals = _applied(coefficients, f, w)
+        for idx in chunk_indices(samples):
+            z = chunk_normals(seed, idx, samples)
+            size = len(z)
+            for start in range(0, size, _BLOCK):
+                w = P.eval_float(z[start:start + _BLOCK])
+                coefficients = _coefficient_values(op, w)
+                for i, f in enumerate(suite):
+                    values[i, start:start + len(w)] = _applied(coefficients, f, w)
+            del z
+            for i, vals in enumerate(values[:, :size]):
                 totals[i] += float(vals.sum())
                 totals_sq[i] += float(np.dot(vals, vals))
     checks = []

@@ -421,6 +421,18 @@ def test_noncentral_lambda_beyond_bessel_range_is_a_usage_error(k, capsys):
     assert "lambda = 10000000000.0" in captured.err
 
 
+@pytest.mark.parametrize("lam", ["1e100", "1e155", "1e300"])
+def test_noncentral_lambda_overflowing_the_rule_is_one_usage_line(lam):
+    # from about lambda = 1e155, lambda x overflows while the rule is built;
+    # under PYTHONWARNINGS=error a numpy RuntimeWarning there was exit 70
+    code, out, err = run_cli("noncentral", "--k", "2", "--lambda", lam, "--verify")
+    assert code == 64 and out == ""
+    assert err.splitlines() == [
+        f"error: noncentral density rule has non-finite weights at k = 2.0, "
+        f"lambda = {float(lam)}: the Bessel factor is validated only for "
+        f"sqrt(lambda x) up to 1.07374e+09"]
+
+
 @pytest.mark.parametrize("k", ["400", "600", "1e7"])
 def test_noncentral_k_beyond_float64_rule_is_a_usage_error(k, capsys):
     # the first panel's Gauss-Jacobi weights times its half-width to the

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steinforge.catalog import catalog
 from steinforge import gaussian, verify
@@ -79,8 +80,8 @@ class TestTestFunctions:
     def test_one_flipped_quadrant_is_caught(self, f, quadrant):
         assert not self._factored_agrees(f, flip_quadrant=quadrant)
 
-    def test_each_transcendental_factor_once_per_chunk(self, monkeypatch):
-        # h3 has orders 0-5: one Monte Carlo chunk evaluates sin and cos of
+    def test_each_transcendental_factor_once_per_block(self, monkeypatch):
+        # h3 has orders 0-5: each Monte Carlo block evaluates sin and cos of
         # x and of x/2 and one exp, not one call per order and function
         from steinforge.testfunctions import TestFunction
         calls = []
@@ -89,8 +90,10 @@ class TestTestFunctions:
                             calls.append((self.name, index)) or original(self, x, index))
         verify_monte_carlo(catalog("h3").operator, H3, default_suite(),
                            samples=gaussian._CHUNK, seed=1)
-        assert sorted(calls) == [("cosine(0.5)", 0), ("cosine(0.5)", 1),
-                                 ("gaussian-bump", 0), ("sine(1)", 0), ("sine(1)", 1)]
+        blocks = gaussian._CHUNK // gaussian._BLOCK
+        assert sorted(calls) == sorted(blocks * [
+            ("cosine(0.5)", 0), ("cosine(0.5)", 1), ("gaussian-bump", 0),
+            ("sine(1)", 0), ("sine(1)", 1)])
 
     def test_names(self):
         assert sine(1.0).name == "sine(1)"
@@ -287,7 +290,67 @@ class TestQuadrature:
                 gauss_hermite_rule(MAX_QUADRATURE_NODES + 1)
 
 
+def _whole_chunk_monte_carlo(op, P, suite, samples, seed):
+    """verify_monte_carlo with each chunk evaluated whole, not in blocks: the
+    reference whose report the blocked path must give byte for byte."""
+    totals = [0.0] * len(suite)
+    totals_sq = [0.0] * len(suite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in chunk_indices(samples):
+            w = P.eval_float(gaussian.chunk_normals(seed, idx, samples))
+            coefficients = verify._coefficient_values(op, w)
+            for i, f in enumerate(suite):
+                vals = verify._applied(coefficients, f, w)
+                totals[i] += float(vals.sum())
+                totals_sq[i] += float(np.dot(vals, vals))
+    checks = []
+    for f, total, total_sq in zip(suite, totals, totals_sq):
+        mean = total / samples
+        variance = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+        se = float(np.sqrt(variance / samples))
+        checks.append(CheckResult(
+            name=f.name, residual=mean, tolerance=5.0 * se,
+            passed=abs(mean) <= 5.0 * se,
+            params={"samples": samples, "seed": seed, "standard_error": se}))
+    return VerificationReport(method="monte-carlo", checks=tuple(checks))
+
+
 class TestMonteCarlo:
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from(["normal", "centered-chi2", "h3", "h4", "quadratic"]),
+           st.integers(0, 2 ** 64 + 5), st.integers(10_000, 300_000))
+    @example("h3", 1, gaussian._CHUNK)
+    @example("h4", 7, gaussian._CHUNK + gaussian._BLOCK + 1)
+    @example("quadratic", 3, 2 * gaussian._CHUNK + 100)  # last block partial
+    def test_blocks_give_the_whole_chunk_report(self, key, seed, samples):
+        entry = catalog(key)
+        suite = default_suite() + (monomial(3),)
+        blocked = verify_monte_carlo(entry.operator, entry.pushforward, suite,
+                                     samples, seed)
+        whole = _whole_chunk_monte_carlo(entry.operator, entry.pushforward,
+                                         suite, samples, seed)
+        assert json.dumps(blocked.to_dict()) == json.dumps(whole.to_dict())
+
+    def test_working_set_does_not_grow_with_samples(self):
+        # tracemalloc sees numpy's buffers: one (suite, chunk) value buffer,
+        # one chunk of draws and per-block temporaries; the whole-chunk
+        # reference holds chunk-sized temporaries and must exceed the bound
+        op = catalog("h3").operator
+        verify_monte_carlo(op, H3, samples=10_000)  # loads numpy.random
+
+        def peak(route, samples):
+            tracemalloc.start()
+            try:
+                route(op, H3, default_suite(), samples, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        large = peak(verify_monte_carlo, 1_000_000)
+        assert large < 3_000_000
+        assert abs(peak(verify_monte_carlo, 200_000) - large) <= 0.1 * large
+        assert peak(_whole_chunk_monte_carlo, 1_000_000) > 3_000_000
+
     def test_h3_sine_gate(self):
         rep = verify_monte_carlo(catalog("h3").operator, H3, [sine(1.0)],
                                  samples=1_000_000, seed=11)
