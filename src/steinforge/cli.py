@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .catalog import catalog, catalog_keys, noncentral_chi2_operator
 from .derivation import check_input, derive_operator, minimal_scan
@@ -167,11 +167,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _emit(payload: dict, fmt: str, latex_text: Optional[str] = None) -> None:
+def _emit(payload: dict, fmt: str, latex: Callable[[], str]) -> None:
+    """Write the payload in `fmt`; `latex` renders the latex text, and is
+    called for latex output only."""
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     elif fmt == "latex":
-        sys.stdout.write((latex_text or "") + "\n")
+        sys.stdout.write(latex() + "\n")
     else:
         for line in _plain_lines(payload):
             sys.stdout.write(line + "\n")
@@ -195,6 +197,11 @@ def _plain_lines(payload, prefix: str = "") -> list[str]:
     return lines
 
 
+def _operator_latex(result) -> str:
+    """The latex text of a derive or scan result's operator, "" without one."""
+    return result.operator.latex() if result and result.operator else ""
+
+
 def _head(args) -> dict:
     """The head of a payload: the command and every option it was parsed
     with, in the parser's order, so the run replays from its output.
@@ -214,8 +221,7 @@ def _cmd_derive(args) -> int:
     result = derive_operator(P, args.order, args.degree,
                              deepen_rounds=deepen_rounds)
     payload = _head(args) | result.to_dict()
-    latex = result.operator.latex() if result.operator else ""
-    _emit(payload, args.format, latex)
+    _emit(payload, args.format, lambda: _operator_latex(result))
     return EXIT_OK if result.found else EXIT_INFEASIBLE
 
 
@@ -226,8 +232,7 @@ def _cmd_scan(args) -> int:
           file=sys.stderr)
     scan = minimal_scan(P, args.max_order, args.max_degree)
     payload = _head(args) | scan.to_dict()
-    latex = scan.result.operator.latex() if scan.result and scan.result.operator else ""
-    _emit(payload, args.format, latex)
+    _emit(payload, args.format, lambda: _operator_latex(scan.result))
     return EXIT_OK if scan.minimal else EXIT_INFEASIBLE
 
 
@@ -268,19 +273,19 @@ def _cmd_verify(args) -> int:
                          samples=args.samples, seed=args.seed)
     payload = _head(args) | {"reports": [r.to_dict() for r in reports],
                              "pass": all(r.passed for r in reports)}
-    _emit(payload, args.format, op.latex())
+    _emit(payload, args.format, op.latex)
     return EXIT_OK if payload["pass"] else EXIT_VERIFY_FAIL
 
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
         payload = {"command": "catalog", "keys": catalog_keys()}
-        _emit(payload, args.format, "\n".join(catalog_keys()))
+        _emit(payload, args.format, lambda: "\n".join(catalog_keys()))
         return EXIT_OK
     entry = catalog(args.key)
     payload = _head(args) | entry.to_dict()
     has_operator = entry.operator is not None or entry.display_latex
-    _emit(payload, args.format, entry.latex() if has_operator else "")
+    _emit(payload, args.format, lambda: entry.latex() if has_operator else "")
     return EXIT_OK
 
 
@@ -311,8 +316,7 @@ def _cmd_conjecture(args) -> int:
         if status == "found" and m < threshold]
     payload["threshold_order"] = threshold
     payload["found_below_threshold"] = sorted(found_below)
-    _emit(payload, args.format,
-          scan.result.operator.latex() if scan.result and scan.result.operator else "")
+    _emit(payload, args.format, lambda: _operator_latex(scan.result))
     return EXIT_OK if scan.minimal else EXIT_INFEASIBLE
 
 
@@ -329,7 +333,7 @@ def _cmd_noncentral(args) -> int:
         checks = verify_noncentral_operator(op, params, tol=args.tol)
         payload["density_checks"] = checks.to_dict()
         ok = payload["pass"] = checks.passed
-    _emit(payload, args.format, op.latex())
+    _emit(payload, args.format, op.latex)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -93,12 +93,39 @@ basis up to the scale of each vector, and it is unique, so the operator and
 basis reported do not depend on the prime; `normalize_operator` fixes each
 scale. The first vector has the smallest leading column, hence the
 lexicographically smallest support.
+
+The kernel is found block by block. Link two columns when some row is
+nonzero at both, and take the connected blocks of the links: every row is
+nonzero in one block only, so after a permutation of rows and columns the
+matrix is block diagonal. The kernel of a block-diagonal matrix is the
+direct sum of its blocks' kernels, each extended by zero, so
+`_exact_kernel` solves each block that holds rows on its own columns. Each
+block is an integer matrix of its own, so the gate and the retry proofs
+above hold for it as they stand: its gated vectors are its reduced row
+echelon basis up to scale, and its retry ends. A vector of one block is
+zero at every column of the others, their leading columns among them, so
+the union of the blocks' bases, sorted by leading column, is in the
+canonical form above: it is the cell's basis, whatever the prime of each
+block. Bareiss on one block multiplies its rows by its own pivots only; on
+the whole minor every row below a pivot carries the pivots of the other
+blocks too, and each block has a share of the columns.
+
+Odd P split so. If P(-z) = -P(z), P' is even, so the identity (k, j), with
+terms (k, j), (k - 2, j) and (k - 1 + l, j + 1) for even l, keeps the
+parity of i + j in every term. P^d holds only z-powers of d's parity, so
+the image of x^d f^(m) has all its terms at parity d + m, and so has its
+normal form. The even and the odd d + m fall into separate blocks. (On
+operators this is A -> RAR with (Rf)(x) = f(-x): it maps Stein operators
+of W to those of -W, which has W's law.) The code tests no parity: any P
+whose cells split gains, and a cell with one block of rows is solved
+whole.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Iterable, Optional
 
@@ -230,17 +257,27 @@ def ibp_identity(k: int, j: int, P: Polynomial) -> ExpectationVector:
 
 
 def operator_image(op: DiffOperator, P: Polynomial) -> ExpectationVector:
-    """Expand E[sum_m p_m(W) f^(m)(W)] into terms via W^d = P(Z)^d."""
-    r, powers, _ = power_table(
-        P, max((pm.degree for pm in op.coefficients), default=0))
+    """Expand E[sum_m p_m(W) f^(m)(W)] into terms via W^d = P(Z)^d.
+
+    r^d P^d has integer coefficients (`poly.power_table`), so with s the lcm
+    of the operator's coefficient denominators and D its largest degree,
+    every term (i, m) is summed as an int over the one scale s * r^D, and
+    one Fraction is made per term.
+    """
+    D = max((pm.degree for pm in op.coefficients), default=0)
+    r, powers, _ = power_table(P, D)
+    s = math.lcm(*[q.denominator for pm in op.coefficients for q in pm.coeffs])
+    scale = s * r ** D
     items: list[tuple[Term, Fraction]] = []
     for m, pm in enumerate(op.coefficients):
+        sums = [0] * len(powers[-1])
         for d, q in enumerate(pm.coeffs):
-            if q == 0:
-                continue
-            for i, e in enumerate(powers[d]):
-                if e != 0:
-                    items.append(((i, m), q * Fraction(e, r ** d)))
+            if q:
+                lift = q.numerator * (s // q.denominator) * r ** (D - d)
+                for i, e in enumerate(powers[d]):
+                    if e:
+                        sums[i] += lift * e
+        items.extend(((i, m), Fraction(c, scale)) for i, c in enumerate(sums) if c)
     return ExpectationVector(items)
 
 
@@ -492,41 +529,120 @@ def _annihilates(rows: list[list[int]], vec: list[int]) -> bool:
     return all(sum(row[c] * v for c, v in support) == 0 for row in rows)
 
 
-def _exact_kernel(rows: list[list[int]], ncols: int,
-                  first_only: bool = False) -> list[list[int]]:
-    """The kernel basis of the integer matrix `rows`, in the canonical form
-    the module docstring proves; with `first_only`, one nonzero kernel
-    vector if there is one. [] means the kernel is zero.
-
-    The residues mod p, taken from the last column to the first, pick r
-    pivots; no free column means full rank mod p, hence over Q.
-    `_bareiss_kernel` gives one integer vector per free column f, in
-    increasing f. The gate, A v = 0 and v zero below f, passes them as the
-    basis; when it rejects one, the residues lost rank, and the elimination
-    runs again under the next prime, which ends (module docstring).
-    """
+def _residue_pass(rows: list[list[int]], ncols: int, p: int):
+    """One elimination of `rows` mod the prime p, columns last to first:
+    the (row, column) pivot pairs in elimination order and the free
+    columns in increasing order."""
     # Eliminating from the last column (highest order and degree) first
     # keeps the leading minors, which bound every Bareiss entry, smaller in
     # the early steps: on H7's frontier cells they stay under 1200 bits for
     # the first 90 of 127 steps, where the natural order passes 2000 bits by
     # step 45, and the five solves take 2.5 s instead of 6.6 s.
     order = range(ncols - 1, -1, -1)
+    pivots, free = [], []
+    for c, r in _residue_pivots(_residues(rows, order, p), p):
+        if r is None:
+            free.append(order[c])
+        else:
+            pivots.append((r, order[c]))
+    return pivots, free[::-1]
+
+
+def _gated_kernel(rows: list[list[int]], ncols: int, first_only: bool,
+                  pivots: list[tuple[int, int]], free: list[int]) -> list[list[int]]:
+    """The kernel of `rows` from `_residue_pass` at _PRIME: no free column
+    means full rank mod p, hence over Q. `_bareiss_kernel` gives one integer
+    vector per free column f, in increasing f (with `first_only`, for the
+    first). The gate, A v = 0 and v zero below f, passes them as the basis;
+    when it rejects one, the residues lost rank, and the elimination runs
+    again under the next prime, which ends (module docstring).
+    """
     p = _PRIME
-    while True:
-        pivots, free = [], []
-        for c, r in _residue_pivots(_residues(rows, order, p), p):
-            if r is None:
-                free.append(order[c])
-            else:
-                pivots.append((r, order[c]))
-        if not free:
-            return []
-        free = free[::-1][:1] if first_only else free[::-1]
+    while free:
+        free = free[:1] if first_only else free
         vectors = _bareiss_kernel(rows, ncols, pivots, free)
         if all(not any(v[:f]) and _annihilates(rows, v)
                for v, f in zip(vectors, free)):
             return vectors
         p = _next_prime(p)
+        pivots, free = _residue_pass(rows, ncols, p)
+    return []
+
+
+def _column_blocks(rows: list[list[int]], ncols: int):
+    """The connected blocks of the nonzero pattern of `rows`, as (columns,
+    rows) pairs, columns increasing, blocks by first column: two columns
+    share a block when a chain of rows links them, and each row lies in the
+    block of its support. A column in no row's support is a block with no
+    rows; so is a zero row, in the block of column 0. The union-find stops
+    early once every column is in one block.
+    """
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    blocks = ncols
+    firsts = []
+    for row in rows:
+        support = compress(range(ncols), row)
+        first = next(support, 0)
+        firsts.append(first)
+        root = find(first)
+        for c in support:
+            other = find(c)
+            if other != root:
+                parent[other] = root
+                blocks -= 1
+        if blocks == 1:
+            return [(list(range(ncols)), rows)]
+    split: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for c in range(ncols):
+        split.setdefault(find(c), ([], []))[0].append(c)
+    for first, row in zip(firsts, rows):
+        split[find(first)][1].append(row)
+    return list(split.values())
+
+
+def _exact_kernel(rows: list[list[int]], ncols: int,
+                  first_only: bool = False) -> list[list[int]]:
+    """The kernel basis of the integer matrix `rows`, in the canonical form
+    the module docstring proves; with `first_only`, one nonzero kernel
+    vector if there is one. [] means the kernel is zero.
+
+    Each connected block of the nonzero pattern (`_column_blocks`) that
+    holds rows is solved on its own columns by `_gated_kernel`, and its
+    vectors are mapped back to the cell's columns and sorted by leading
+    column. With at most one such block the matrix is solved whole: a
+    column in no row is free, and its Bareiss vector is its unit vector.
+    With `first_only`, every block has its residue pass, and Bareiss runs
+    in the block of the smallest free column, or the next one when that
+    block's retry finds full rank.
+    """
+    blocks = _column_blocks(rows, ncols)
+    if sum(1 for _, block_rows in blocks if block_rows) <= 1:
+        return _gated_kernel(rows, ncols, first_only,
+                             *_residue_pass(rows, ncols, _PRIME))
+    solves = []
+    for columns, block_rows in blocks:
+        sub = [[row[c] for c in columns] for row in block_rows]
+        pivots, free = _residue_pass(sub, len(columns), _PRIME)
+        solves.append((columns[free[0]] if free else ncols, columns, sub,
+                       pivots, free))
+    if first_only:
+        solves.sort(key=lambda solve: solve[0])
+    vectors = []
+    for _, columns, sub, pivots, free in solves:
+        for v in _gated_kernel(sub, len(columns), first_only, pivots, free):
+            vec = [0] * ncols
+            for c, x in zip(columns, v):
+                vec[c] = x
+            vectors.append(vec)
+        if first_only and vectors:
+            return vectors
+    return sorted(vectors, key=lambda v: next(c for c, x in enumerate(v) if x))
 
 
 def _solve_cell(P: Polynomial, rows: list[list[int]],

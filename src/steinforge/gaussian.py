@@ -163,26 +163,28 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 12
 
 
-def _normal_chunk(seed: int, index: int) -> np.ndarray:
-    """One deterministic chunk of standard normals keyed by (seed, chunk index).
+def _normal_chunk(seed: int, index: int, size: int) -> np.ndarray:
+    """The first `size` <= _CHUNK standard normals of one deterministic
+    chunk keyed by (seed, chunk index).
 
     Uniforms come from a counter-based Philox stream and are mapped through
     the Box-Muller transform, so chunk i is the same regardless of how many
-    chunks were drawn before it. The chunk is filled in blocks of _BLOCK
-    samples; consecutive draws continue one stream and Box-Muller maps each
-    pair on its own, so the bytes are those of one whole-chunk draw.
+    chunks were drawn before it. Only the ceil(size / _BLOCK) blocks of
+    _BLOCK samples that hold the prefix are drawn; consecutive draws
+    continue one stream and Box-Muller maps each pair on its own, so the
+    bytes are those of the prefix of one whole-chunk draw.
     """
     key = np.array([seed % (1 << 64), index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    out = np.empty(_CHUNK)
-    for start in range(0, _CHUNK, _BLOCK):
+    out = np.empty(-(-size // _BLOCK) * _BLOCK)
+    for start in range(0, len(out), _BLOCK):
         u = gen.random(_BLOCK)
         # 1 - u is in (0, 1], so log() is finite
         r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
         angle = 2.0 * np.pi * u[1::2]
         out[start:start + _BLOCK:2] = r * np.cos(angle)
         out[start + 1:start + _BLOCK:2] = r * np.sin(angle)
-    return out
+    return out[:size]
 
 
 def chunk_indices(total: int) -> range:
@@ -192,5 +194,4 @@ def chunk_indices(total: int) -> range:
 
 def chunk_normals(seed: int, index: int, total: int) -> np.ndarray:
     """Chunk `index` of a `total`-sample stream, truncated at the stream end."""
-    start = index * _CHUNK
-    return _normal_chunk(seed, index)[: min(_CHUNK, total - start)]
+    return _normal_chunk(seed, index, min(_CHUNK, total - index * _CHUNK))

@@ -312,6 +312,61 @@ class TestReproducibility:
         assert "scanning" in err
 
 
+# One run of every command that renders latex: found and infeasible derive,
+# scan and conjecture, verify, catalog show and list, noncentral.
+LATEX_RUNS = [
+    ["derive", "--poly", "x^3-3x", "--order", "5", "--degree", "2"],
+    ["derive", "--poly", "x^3-3x", "--order", "1", "--degree", "1"],
+    ["scan", "--poly", "x^2+2x", "--max-order", "2", "--max-degree", "1"],
+    ["scan", "--poly", "x^3-3x", "--max-order", "1", "--max-degree", "1"],
+    ["conjecture", "--hermite", "6", "--max-order", "8", "--max-degree", "6"],
+    ["conjecture", "--hermite", "5", "--max-order", "2", "--max-degree", "1"],
+    ["verify", "--catalog", "h4", "--methods", "symbolic"],
+    ["catalog", "show", "h3"],
+    ["catalog", "show", "table1(5)"],
+    ["catalog", "list"],
+    ["noncentral", "--k", "2", "--lambda", "1"],
+]
+
+
+class TestLatexOnDemand:
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def test_json_and_plain_output_render_no_latex(self, monkeypatch, capsys):
+        # with latex rendering made to fail, every json and plain stdout and
+        # exit code is the one of an unpatched run
+        runs = [argv + fmt for argv in LATEX_RUNS
+                for fmt in ([], ["--format", "plain"])]
+        want = [self.run(argv, capsys) for argv in runs]
+
+        def refuse(self):
+            raise AssertionError("latex rendered for non-latex output")
+
+        monkeypatch.setattr(DiffOperator, "latex", refuse)
+        assert [self.run(argv, capsys) for argv in runs] == want
+
+    def test_latex_output_is_the_rendered_text(self, capsys):
+        # a run without an operator (infeasible, or the conjectured row
+        # table1(5)) writes an empty line
+        scan = cli.minimal_scan(parse_polynomial("x^2+2x"), 2, 1)
+        conjecture = cli.minimal_scan(hermite(6), 8, 6)
+        texts = [
+            derive_operator(hermite(3), 5, 2).operator.latex(), "",
+            scan.result.operator.latex(), "",
+            conjecture.result.operator.latex(), "",
+            cli.catalog("h4").operator.latex(),
+            cli.catalog("h3").latex(), "",
+            "\n".join(cli.catalog_keys()),
+            noncentral_chi2_operator(2, 1).latex(),
+        ]
+        assert all(texts[i] for i in (0, 2, 4, 6, 7, 9, 10))
+        for argv, text in zip(LATEX_RUNS, texts):
+            assert self.run(argv + ["--format", "latex"], capsys)[1] == text + "\n"
+
+
 def loaded_modules(code: str, roots=("scipy",)) -> set[str]:
     """Modules of the packages `roots` in sys.modules after a fresh
     interpreter runs `code`."""

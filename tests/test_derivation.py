@@ -14,13 +14,14 @@ from steinforge.catalog import catalog, quadratic_operator
 from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationError, DerivationResult, ScanResult,
                                    SearchBounds, _PRIME, _cell_rows, _reduce,
-                                   _exact_kernel, _grid_matrix, _next_prime,
+                                   _column_blocks, _exact_kernel, _grid_matrix,
+                                   _next_prime,
                                    _residue_pivots, _residues,
                                    default_bounds, derive_operator,
                                    ibp_identity, minimal_scan, operator_image,
                                    verify_certificate)
 from steinforge.operators import DiffOperator, proportional_eq
-from steinforge.poly import Polynomial, hermite
+from steinforge.poly import Polynomial, hermite, power_table
 from steinforge.terms import ExpectationVector
 
 X = Polynomial.x()
@@ -58,11 +59,40 @@ def rational_matrices(draw):
     return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
 
 
+@st.composite
+def block_diagonal_matrices(draw):
+    """Integer matrices that are block diagonal after a permutation of their
+    rows and columns: one to four blocks of at most 4 x 4 entries in
+    [-5, 5], often zero, with rows and columns shuffled. Every minor of a
+    block is at most 4! * 5^4 < _PRIME in size, so no residue loses rank."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                           min_size=1, max_size=4))
+    entry = st.one_of(st.just(0), st.integers(-5, 5))
+    ncols = sum(c for _, c in shapes)
+    rows, offset = [], 0
+    for nrows, width in shapes:
+        for _ in range(nrows):
+            row = [0] * ncols
+            row[offset:offset + width] = [draw(entry) for _ in range(width)]
+            rows.append(row)
+        offset += width
+    rows = draw(st.permutations(rows))
+    columns = draw(st.permutations(range(ncols)))
+    return [[row[c] for c in columns] for row in rows]
+
+
 # Rank 2 with a 2-dimensional kernel; taken last column first, its residues
 # lose rank at column 2 although the whole matrix keeps rank 2 mod _PRIME
 # (test_gate_rejects_a_vector_nonzero_below_its_free_column).
 RESIDUE_SHAPE_TRAP = [[Fraction(v) for v in row]
                       for row in ([0, 0, 1, 1], [1, 1, _PRIME, 0])]
+
+
+# RESIDUE_SHAPE_TRAP beside a second block, columns interleaved: the trap's
+# retry runs inside its block.
+TRAP_IN_BLOCKS = [[0, 0, 0, 0, 1, 0, 1],
+                  [1, 0, 1, 0, _PRIME, 0, 0],
+                  [0, 2, 0, 1, 0, 3, 0]]
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -167,6 +197,38 @@ class TestIbpIdentity:
             ibp_identity(0, 0, X)
 
 
+def _operator_image_reference(op, P, perturb=None) -> ExpectationVector:
+    """operator_image term by term: one Fraction product per coefficient of
+    the operator and nonzero coefficient of r^d P^d, repeated terms summed
+    by ExpectationVector. `perturb` adds 1 to the product at that index (mod
+    the number of products): the negative control."""
+    r, powers, _ = power_table(
+        P, max((pm.degree for pm in op.coefficients), default=0))
+    items = []
+    for m, pm in enumerate(op.coefficients):
+        for d, q in enumerate(pm.coeffs):
+            if q == 0:
+                continue
+            for i, e in enumerate(powers[d]):
+                if e != 0:
+                    items.append(((i, m), q * Fraction(e, r ** d)))
+    if perturb is not None and items:
+        t, c = items[perturb % len(items)]
+        items[perturb % len(items)] = (t, c + 1)
+    return ExpectationVector(items)
+
+
+@st.composite
+def rational_operators(draw):
+    """Operators of order 0-4 whose coefficient rows have degree -1 (zero)
+    to 4 and small rational coefficients, zeros among them."""
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+    return DiffOperator(tuple(
+        Polynomial([draw(coeff) for _ in range(draw(st.integers(0, 5)))])
+        for _ in range(draw(st.integers(1, 5)))))
+
+
 class TestOperatorImage:
     def test_normal_operator(self):
         op = catalog("normal").operator
@@ -179,6 +241,21 @@ class TestOperatorImage:
 
     def test_zero_operator(self):
         assert operator_image(DiffOperator(()), H3).as_dict() == {}
+
+    @settings(deadline=None, max_examples=200)
+    @given(rational_polys(), rational_operators(), st.integers(0, 999))
+    @example(H3, DiffOperator.from_rows([[Fraction(1, 2), 0, 3]]), 0)
+    @example(Polynomial([Fraction(1, 3), Fraction(-2, 5)]),
+             DiffOperator.from_rows([[], [0, Fraction(1, 7)], [], [4]]), 5)
+    def test_matches_the_product_by_product_expansion(self, P, op, perturb):
+        # one int sum per term over one scale gives the Fractions of one
+        # product per (coefficient, power term), in value and as a dict
+        got = operator_image(op, P)
+        want = _operator_image_reference(op, P)
+        assert got == want and got.as_dict() == want.as_dict()
+        assert all(type(c) is Fraction for c in got.as_dict().values())
+        if not op.is_zero:
+            assert got != _operator_image_reference(op, P, perturb)
 
 
 class TestDerive:
@@ -501,6 +578,96 @@ class TestExactKernel:
             assert minimal_scan(*case).to_dict() == reference
         assert retries
         assert brute_force_scan(H3, 5, 4).to_dict() == derived
+
+
+def _rows_blocks(rows, ncols) -> int:
+    """The number of blocks of `_column_blocks` that hold rows."""
+    return sum(1 for _, block_rows in _column_blocks(rows, ncols) if block_rows)
+
+
+class TestBlockSplit:
+    @staticmethod
+    def check_split(matrix):
+        """`_exact_kernel` on a block-diagonal matrix gives the `_nullspace`
+        reference's vectors, each up to scale; with `first_only`, one
+        nonzero kernel vector, the reference's first whenever the entries
+        keep every minor below _PRIME (block_diagonal_matrices)."""
+        ncols = len(matrix[0])
+        rows = [row for row in matrix if any(row)]
+        reference = _nullspace([[Fraction(v) for v in row] for row in matrix],
+                               ncols)
+        assert _proportional_vectors(_exact_kernel(rows, ncols), reference)
+        first = _exact_kernel(rows, ncols, first_only=True)
+        assert len(first) == (1 if reference else 0)
+        for vec in first:
+            assert any(vec) and all(
+                sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+        if derivation._PRIME == _PRIME and all(abs(v) <= 5 for row in rows
+                                               for v in row):
+            assert _proportional_vectors(first, reference[:1])
+
+    @settings(deadline=None, max_examples=200)
+    @given(block_diagonal_matrices())
+    @example(TRAP_IN_BLOCKS)
+    def test_matches_fraction_nullspace(self, matrix):
+        self.check_split(matrix)
+
+    @settings(deadline=None, max_examples=200)
+    @given(block_diagonal_matrices())
+    @example(TRAP_IN_BLOCKS)
+    @example([[1, 0, 1], [0, 1, 0], [1, 0, 4]])
+    def test_matches_fraction_nullspace_at_prime_three(self, matrix):
+        # mod 3 blocks often lose rank, so the retry runs inside a block
+        with mock.patch.object(derivation, "_PRIME", 3):
+            self.check_split(matrix)
+
+    def test_retry_runs_inside_one_block(self, monkeypatch):
+        # det [[1, 1], [1, 4]] = 3: mod 3 that block's candidate fails the
+        # gate and 5 shows full rank; the other block keeps its vector
+        monkeypatch.setattr(derivation, "_PRIME", 3)
+        retries = _counting_next_prime(monkeypatch)
+        rows = [[1, 0, 1], [0, 1, 0], [1, 0, 4]]
+        assert _rows_blocks(rows, 3) == 2
+        assert _exact_kernel([row + [0] for row in rows], 4) == [[0, 0, 0, 1]]
+        assert retries == [3]
+        retries.clear()
+        assert _exact_kernel([[1, 1, 0], [1, 4, 0], [0, 0, 2]], 3) == []
+        assert retries == [3]
+
+    def test_odd_hermite_cell_splits_and_even_does_not(self):
+        # P(-z) = -P(z) keeps the parity of d + m apart (module docstring)
+        for P, blocks in ((hermite(5), 2), (hermite(6), 1)):
+            grid = _grid_matrix(P, 4, 4)
+            assert _rows_blocks(_cell_rows(grid, 4, 4, 4), 25) == blocks
+
+    def test_a_coupling_row_joins_the_blocks(self):
+        # negative control: H3 (3, 5) splits in two blocks with a kernel
+        # vector each. A row joining their first leading columns makes one
+        # block, and the kernel shrinks by one; solving the two halves on
+        # their own, each with its share of the row, loses one more vector
+        rows = _cell_rows(_grid_matrix(H3, 3, 5), 5, 3, 5)
+        (a_cols, a_rows), (b_cols, b_rows) = _column_blocks(rows, 24)
+        leads = [next(c for c, v in enumerate(vec) if v)
+                 for vec in _exact_kernel(rows, 24)]
+        a = next(c for c in leads if c in a_cols)
+        b = next(c for c in leads if c in b_cols)
+        coupled = rows + [[int(c in (a, b)) for c in range(24)]]
+        assert _rows_blocks(coupled, 24) == 1
+        kernel = _exact_kernel(coupled, 24)
+        reference = _nullspace([[Fraction(v) for v in row] for row in coupled], 24)
+        assert _proportional_vectors(kernel, reference)
+        assert len(kernel) == len(leads) - 1
+        halves = []
+        for columns in (a_cols, b_cols):
+            sub = [cut for row in coupled
+                   if any(cut := [row[c] for c in columns])]
+            for vec in _exact_kernel(sub, len(columns)):
+                full = [0] * 24
+                for c, v in zip(columns, vec):
+                    full[c] = v
+                halves.append(full)
+        assert len(halves) == len(leads) - 2
+        assert not _proportional_vectors(halves, reference)
 
 
 class TestLeadingCoefficientReport:

@@ -185,17 +185,35 @@ def test_chunk_is_independent_of_the_stream_length():
                               chunk_normals(3, 1, 200_000))
 
 
-@pytest.mark.parametrize("seed,index", [(0, 0), (7, 3), (2 ** 64 + 5, 1), (12345, 40)])
-def test_chunk_bytes_match_the_two_angle_expression(seed, index):
-    # Box-Muller with the angle 2 pi u2 formed once gives the bits of the
-    # expression that formed it once for cos and once for sin
+def _whole_chunk(seed: int, index: int) -> np.ndarray:
+    """Chunk `index` drawn whole, with the angle formed once for cos and
+    once for sin: the reference for `_normal_chunk`."""
     key = np.array([seed % (1 << 64), index], dtype=np.uint64)
     u = np.random.Generator(np.random.Philox(key=key)).random(gaussian._CHUNK)
     r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
     want = np.empty(gaussian._CHUNK)
     want[0::2] = r * np.cos(2.0 * np.pi * u[1::2])
     want[1::2] = r * np.sin(2.0 * np.pi * u[1::2])
-    assert gaussian._normal_chunk(seed, index).tobytes() == want.tobytes()
+    return want
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (7, 3), (2 ** 64 + 5, 1), (12345, 40)])
+def test_chunk_bytes_match_the_two_angle_expression(seed, index):
+    # Box-Muller with the angle 2 pi u2 formed once gives the bits of the
+    # expression that formed it once for cos and once for sin
+    got = gaussian._normal_chunk(seed, index, gaussian._CHUNK)
+    assert got.tobytes() == _whole_chunk(seed, index).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3392, 4095, 4096, 4097, 65535, 65536])
+def test_a_partial_chunk_is_the_prefix_of_the_whole_draw(size):
+    # only the blocks that hold the prefix are drawn, from the same stream;
+    # 3392 is the last chunk of a 200 000-sample run
+    seed, index = 11, 3
+    want = _whole_chunk(seed, index)[:size].tobytes()
+    assert gaussian._normal_chunk(seed, index, size).tobytes() == want
+    total = index * gaussian._CHUNK + size
+    assert chunk_normals(seed, index, total).tobytes() == want
 
 
 def test_sampler_clt_bounds():

@@ -377,9 +377,9 @@ class TestMonteCarlo:
         calls = []
         original = gaussian._normal_chunk
 
-        def counted(seed, index):
+        def counted(seed, index, size):
             calls.append(index)
-            return original(seed, index)
+            return original(seed, index, size)
 
         monkeypatch.setattr(gaussian, "_normal_chunk", counted)
         samples = 200_000
@@ -403,7 +403,7 @@ class TestMonteCarlo:
                                samples=100, seed=0)
 
     def test_maximum_samples_refused_before_any_draw(self, monkeypatch):
-        def refuse(seed, index):
+        def refuse(seed, index, size):
             raise AssertionError("a chunk was drawn")
 
         monkeypatch.setattr(gaussian, "_normal_chunk", refuse)
