@@ -54,13 +54,13 @@ and its other levels are the residues of the levels above, shifted down by
 M - m. D + 1 sweeps of M levels give the (M + 1)(D + 1) columns, all over
 the one scale of degree D, written as ints straight into one matrix.
 
-So one exact solver, `_solve_cell`, decides a cell from its rows, a column
-selection of that matrix. `derive_operator` builds the cell's matrix and
-solves once. `minimal_scan` builds the grid's matrix once; cell (m, d) is
-then a column subset, feasible exactly when those columns are linearly
-dependent, and only the cells that a rank test mod a prime cannot rule out
-reach the exact kernel. No Fraction is made between `poly.power_table` and
-the kernel.
+So one exact kernel, `_exact_kernel`, decides a cell from its rows, a
+column selection of that matrix, and `_found` builds the result from a
+nonzero kernel. `derive_operator` builds the cell's matrix and solves once.
+`minimal_scan` builds the grid's matrix once; cell (m, d) is then a column
+subset, feasible exactly when those columns are linearly dependent, and
+only the cells that a rank test mod a prime cannot rule out reach the exact
+kernel. No Fraction is made between `poly.power_table` and the kernel.
 
 The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
 row of a cell is divided by its gcd, and one elimination modulo a prime p,
@@ -99,8 +99,9 @@ nonzero at both, and take the connected blocks of the links: every row is
 nonzero in one block only, so after a permutation of rows and columns the
 matrix is block diagonal. The kernel of a block-diagonal matrix is the
 direct sum of its blocks' kernels, each extended by zero, so
-`_exact_kernel` solves each block that holds rows on its own columns. Each
-block is an integer matrix of its own, so the gate and the retry proofs
+`_exact_kernel` solves each block on its own columns (`_block_kernel`); a
+block with no rows has every column free, and each gives its unit vector.
+Each block is an integer matrix of its own, so the gate and the retry proofs
 above hold for it as they stand: its gated vectors are its reduced row
 echelon basis up to scale, and its retry ends. A vector of one block is
 zero at every column of the others, their leading columns among them, so
@@ -117,8 +118,7 @@ the image of x^d f^(m) has all its terms at parity d + m, and so has its
 normal form. The even and the odd d + m fall into separate blocks. (On
 operators this is A -> RAR with (Rf)(x) = f(-x): it maps Stein operators
 of W to those of -W, which has W's law.) The code tests no parity: any P
-whose cells split gains, and a cell with one block of rows is solved
-whole.
+whose cells split gains, and a cell with one block is that block.
 """
 from __future__ import annotations
 
@@ -529,53 +529,51 @@ def _annihilates(rows: list[list[int]], vec: list[int]) -> bool:
     return all(sum(row[c] * v for c, v in support) == 0 for row in rows)
 
 
-def _residue_pass(rows: list[list[int]], ncols: int, p: int):
-    """One elimination of `rows` mod the prime p, columns last to first:
-    the (row, column) pivot pairs in elimination order and the free
-    columns in increasing order."""
+def _block_kernel(rows: list[list[int]], ncols: int,
+                  first_only: bool = False) -> list[list[int]]:
+    """The kernel basis of one block's `rows`, in canonical form (module
+    docstring); with `first_only`, its first vector. [] means full rank.
+
+    One elimination mod the prime p, at first _PRIME, columns last to
+    first, finds the free columns; none means full rank mod p, hence over
+    Q. `_bareiss_kernel` gives one integer vector per free column f, in
+    increasing f (with `first_only`, for the first). The gate, A v = 0 and
+    v zero below f, passes them as the basis; when it rejects one, the
+    residues lost rank, and the elimination runs again under the next
+    prime, which ends (module docstring).
+    """
     # Eliminating from the last column (highest order and degree) first
     # keeps the leading minors, which bound every Bareiss entry, smaller in
     # the early steps: on H7's frontier cells they stay under 1200 bits for
     # the first 90 of 127 steps, where the natural order passes 2000 bits by
     # step 45, and the five solves take 2.5 s instead of 6.6 s.
     order = range(ncols - 1, -1, -1)
-    pivots, free = [], []
-    for c, r in _residue_pivots(_residues(rows, order, p), p):
-        if r is None:
-            free.append(order[c])
-        else:
-            pivots.append((r, order[c]))
-    return pivots, free[::-1]
-
-
-def _gated_kernel(rows: list[list[int]], ncols: int, first_only: bool,
-                  pivots: list[tuple[int, int]], free: list[int]) -> list[list[int]]:
-    """The kernel of `rows` from `_residue_pass` at _PRIME: no free column
-    means full rank mod p, hence over Q. `_bareiss_kernel` gives one integer
-    vector per free column f, in increasing f (with `first_only`, for the
-    first). The gate, A v = 0 and v zero below f, passes them as the basis;
-    when it rejects one, the residues lost rank, and the elimination runs
-    again under the next prime, which ends (module docstring).
-    """
     p = _PRIME
-    while free:
-        free = free[:1] if first_only else free
+    while True:
+        pivots, free = [], []
+        for c, r in _residue_pivots(_residues(rows, order, p), p):
+            if r is None:
+                free.append(order[c])
+            else:
+                pivots.append((r, order[c]))
+        if not free:
+            return []
+        free = free[-1:] if first_only else free[::-1]
         vectors = _bareiss_kernel(rows, ncols, pivots, free)
         if all(not any(v[:f]) and _annihilates(rows, v)
                for v, f in zip(vectors, free)):
             return vectors
         p = _next_prime(p)
-        pivots, free = _residue_pass(rows, ncols, p)
-    return []
 
 
 def _column_blocks(rows: list[list[int]], ncols: int):
     """The connected blocks of the nonzero pattern of `rows`, as (columns,
-    rows) pairs, columns increasing, blocks by first column: two columns
-    share a block when a chain of rows links them, and each row lies in the
-    block of its support. A column in no row's support is a block with no
-    rows; so is a zero row, in the block of column 0. The union-find stops
-    early once every column is in one block.
+    rows restricted to those columns) pairs, columns increasing, blocks by
+    first column: two columns share a block when a chain of rows links
+    them, and each row lies in the block of its support. A column in no
+    row's support is a block with no rows; so is a zero row, in the block
+    of column 0. The union-find stops early once every column is in one
+    block, which is (range(ncols), rows), uncopied.
     """
     parent = list(range(ncols))
 
@@ -597,45 +595,31 @@ def _column_blocks(rows: list[list[int]], ncols: int):
                 parent[other] = root
                 blocks -= 1
         if blocks == 1:
-            return [(list(range(ncols)), rows)]
+            return [(range(ncols), rows)]
     split: dict[int, tuple[list[int], list[list[int]]]] = {}
     for c in range(ncols):
         split.setdefault(find(c), ([], []))[0].append(c)
     for first, row in zip(firsts, rows):
-        split[find(first)][1].append(row)
+        columns, block_rows = split[find(first)]
+        block_rows.append([row[c] for c in columns])
     return list(split.values())
 
 
 def _exact_kernel(rows: list[list[int]], ncols: int,
                   first_only: bool = False) -> list[list[int]]:
     """The kernel basis of the integer matrix `rows`, in the canonical form
-    the module docstring proves; with `first_only`, one nonzero kernel
-    vector if there is one. [] means the kernel is zero.
+    the module docstring proves; with `first_only`, the first vector of the
+    first block, in column order, whose kernel is nonzero. [] means the
+    kernel is zero.
 
-    Each connected block of the nonzero pattern (`_column_blocks`) that
-    holds rows is solved on its own columns by `_gated_kernel`, and its
-    vectors are mapped back to the cell's columns and sorted by leading
-    column. With at most one such block the matrix is solved whole: a
-    column in no row is free, and its Bareiss vector is its unit vector.
-    With `first_only`, every block has its residue pass, and Bareiss runs
-    in the block of the smallest free column, or the next one when that
-    block's retry finds full rank.
+    Each connected block of the nonzero pattern (`_column_blocks`) is
+    solved on its own columns by `_block_kernel`, and its vectors are
+    mapped back to the cell's columns and sorted by leading column. A block
+    with no rows gives the unit vector of each of its columns.
     """
-    blocks = _column_blocks(rows, ncols)
-    if sum(1 for _, block_rows in blocks if block_rows) <= 1:
-        return _gated_kernel(rows, ncols, first_only,
-                             *_residue_pass(rows, ncols, _PRIME))
-    solves = []
-    for columns, block_rows in blocks:
-        sub = [[row[c] for c in columns] for row in block_rows]
-        pivots, free = _residue_pass(sub, len(columns), _PRIME)
-        solves.append((columns[free[0]] if free else ncols, columns, sub,
-                       pivots, free))
-    if first_only:
-        solves.sort(key=lambda solve: solve[0])
     vectors = []
-    for _, columns, sub, pivots, free in solves:
-        for v in _gated_kernel(sub, len(columns), first_only, pivots, free):
+    for columns, block_rows in _column_blocks(rows, ncols):
+        for v in _block_kernel(block_rows, len(columns), first_only):
             vec = [0] * ncols
             for c, x in zip(columns, v):
                 vec[c] = x
@@ -645,21 +629,15 @@ def _exact_kernel(rows: list[list[int]], ncols: int,
     return sorted(vectors, key=lambda v: next(c for c, x in enumerate(v) if x))
 
 
-def _solve_cell(P: Polynomial, rows: list[list[int]],
-                bounds: SearchBounds) -> Optional[DerivationResult]:
-    """Exact solve of cell (M, D) = (bounds.max_order, bounds.max_coeff_degree).
-
-    `rows` are the cell's rows (`_cell_rows`), column m*(D + 1) + d the
-    normal form of x^d f^(m). `_exact_kernel` decides the cell on them, and
-    its vectors, in canonical form (module docstring), are the basis; the
-    operator is the first. Returns the found result, with the certificate
-    replayed through `_reduce`, or None when the cell's columns are
-    independent.
+def _found(P: Polynomial, kernel: list[list[int]],
+           bounds: SearchBounds) -> DerivationResult:
+    """The found result of cell (M, D) = (bounds.max_order,
+    bounds.max_coeff_degree) from its nonempty `kernel` (`_exact_kernel`),
+    vector entry m*(D + 1) + d the coefficient of x^d f^(m). The vectors,
+    in canonical form (module docstring), are the basis; the operator is
+    the first, with its certificate replayed through `_reduce`.
     """
     M, D = bounds.max_order, bounds.max_coeff_degree
-    kernel = _exact_kernel(rows, (M + 1) * (D + 1))
-    if not kernel:
-        return None
     basis = tuple(normalize_operator(DiffOperator(tuple(
         Polynomial(vec[m * (D + 1):(m + 1) * (D + 1)]) for m in range(M + 1))))
         for vec in kernel)
@@ -691,10 +669,11 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
     check_input(P, max_order, max_coeff_degree)
     bounds = default_bounds(P, max_order, max_coeff_degree)
     grid = _grid_matrix(P, max_order, max_coeff_degree)
-    result = _solve_cell(P, _cell_rows(grid, max_coeff_degree, max_order,
-                                       max_coeff_degree), bounds)
-    if result is not None:
-        return result
+    kernel = _exact_kernel(_cell_rows(grid, max_coeff_degree, max_order,
+                                      max_coeff_degree),
+                           (max_order + 1) * (max_coeff_degree + 1))
+    if kernel:
+        return _found(P, kernel, bounds)
     rounds = max(deepen_rounds, 0)
     deepened = SearchBounds(
         max_order, max_coeff_degree,
@@ -757,9 +736,10 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     the frontier and only until its first find:
     - a cell whose columns have full rank mod _PRIME is infeasible;
     - any other cell is decided by `_exact_kernel` on the grid's columns:
-      until the first find by `_solve_cell`, as `derive_operator` solves it
-      on the cell's own, and after it by one exact kernel vector, since a
-      later cell needs only its status.
+      until the first find for its whole kernel, from which `_found` builds
+      the result as `derive_operator` does on the cell's own columns, and
+      after it for one vector (`first_only`), since a later cell needs only
+      its status.
     The residue rank only rules cells out, and that is certain under any
     prime.
     """
@@ -781,16 +761,12 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
             [residues[mm * (D + 1) + d][:] for mm, d in columns], _PRIME)
             if row is None), frontier)
         for d in range(start, frontier):
-            if result is None:
-                result = _solve_cell(P, _cell_rows(grid, D, m, d),
-                                     default_bounds(P, m, d))
-                feasible = result is not None
-                if feasible:
+            kernel = _exact_kernel(_cell_rows(grid, D, m, d), (m + 1) * (d + 1),
+                                   first_only=result is not None)
+            if kernel:
+                if result is None:
                     minimal = (m, d)
-            else:
-                feasible = bool(_exact_kernel(_cell_rows(grid, D, m, d),
-                                              (m + 1) * (d + 1), first_only=True))
-            if feasible:
+                    result = _found(P, kernel, default_bounds(P, m, d))
                 frontier = d
                 break
         status.update(((m, d), "found" if d >= frontier else

@@ -23,11 +23,14 @@ class ExpectationVector:
         items = terms.items() if isinstance(terms, Mapping) else terms
         store: dict[Term, Fraction] = {}
         for t, c in items:
-            c = Fraction(c)
-            if c != 0:
-                store[t] = store.get(t, Fraction(0)) + c
-                if store[t] == 0:
+            if t in store:
+                total = store[t] + c
+                if total:
+                    store[t] = total
+                else:
                     del store[t]
+            elif c:
+                store[t] = Fraction(c)
         self._terms = store
 
     def as_dict(self) -> dict[Term, Fraction]:

@@ -405,16 +405,16 @@ class TestScan:
         # prime and fall rank deficient; the exact path must decide them all
         references = [brute_force_scan(*case).to_dict() for case in SCAN_CASES]
         exact_calls = []
-        real = derivation._solve_cell
+        real = derivation._exact_kernel
 
-        def counting(reducer, reduced, bounds):
-            exact_calls.append((bounds.max_order, bounds.max_coeff_degree))
-            return real(reducer, reduced, bounds)
+        def counting(rows, ncols, first_only=False):
+            exact_calls.append(ncols)
+            return real(rows, ncols, first_only)
 
         def no_derive(*args, **kwargs):
             raise AssertionError("minimal_scan solves cells on its own columns")
 
-        monkeypatch.setattr(derivation, "_solve_cell", counting)
+        monkeypatch.setattr(derivation, "_exact_kernel", counting)
         monkeypatch.setattr(derivation, "derive_operator", no_derive)
         for case in SCAN_CASES:
             minimal_scan(*case)
@@ -424,6 +424,23 @@ class TestScan:
         for case, reference in zip(SCAN_CASES, references):
             assert minimal_scan(*case).to_dict() == reference
         assert len(exact_calls) > at_default_prime
+
+    @pytest.mark.parametrize("P,M,D,replays", [
+        (H3, 5, 4, 1), (hermite(5), 10, 6, 1), (H3, 2, 2, 0)])
+    def test_replays_one_certificate(self, monkeypatch, P, M, D, replays):
+        # the first find builds the result and replays its certificate
+        # through operator_image; later cells need only their status
+        images = []
+        real = derivation.operator_image
+
+        def counting(op, P):
+            images.append(op)
+            return real(op, P)
+
+        monkeypatch.setattr(derivation, "operator_image", counting)
+        scan = minimal_scan(P, M, D)
+        assert len(images) == replays
+        assert (scan.result is not None) == bool(replays)
 
 
 class TestExactKernel:
@@ -590,8 +607,10 @@ class TestBlockSplit:
     def check_split(matrix):
         """`_exact_kernel` on a block-diagonal matrix gives the `_nullspace`
         reference's vectors, each up to scale; with `first_only`, one
-        nonzero kernel vector, the reference's first whenever the entries
-        keep every minor below _PRIME (block_diagonal_matrices)."""
+        nonzero kernel vector. Whenever the entries keep every minor below
+        _PRIME (block_diagonal_matrices), it is the reference's vector with
+        the smallest leading column inside the first block, in column order,
+        that holds a reference leading column."""
         ncols = len(matrix[0])
         rows = [row for row in matrix if any(row)]
         reference = _nullspace([[Fraction(v) for v in row] for row in matrix],
@@ -602,13 +621,20 @@ class TestBlockSplit:
         for vec in first:
             assert any(vec) and all(
                 sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
-        if derivation._PRIME == _PRIME and all(abs(v) <= 5 for row in rows
-                                               for v in row):
-            assert _proportional_vectors(first, reference[:1])
+        if reference and derivation._PRIME == _PRIME and all(
+                abs(v) <= 5 for row in rows for v in row):
+            leads = [next(c for c, v in enumerate(vec) if v) for vec in reference]
+            block = next(columns for columns, _ in _column_blocks(rows, ncols)
+                         if any(c in columns for c in leads))
+            want = next(vec for vec, c in zip(reference, leads) if c in block)
+            assert _proportional_vectors(first, [want])
 
     @settings(deadline=None, max_examples=200)
     @given(block_diagonal_matrices())
     @example(TRAP_IN_BLOCKS)
+    # column 1 is a block with no rows; the first block, {0, 2, 3}, gives
+    # (0, 0, 1, -1) although the unit vector at 1 leads the reference
+    @example([[1, 0, 0, 0], [1, 0, 1, 1]])
     def test_matches_fraction_nullspace(self, matrix):
         self.check_split(matrix)
 
@@ -748,13 +774,13 @@ def test_infeasible_payload_echoes_deepened_caps_from_one_solve(monkeypatch):
     # replay the recurrence of the removed deepening loop: the z-power cap
     # grows by p*M on even rounds, the derivative cap by 2 on odd rounds
     solves = []
-    real = derivation._solve_cell
+    real = derivation._exact_kernel
 
     def counting(*args):
         solves.append(args)
         return real(*args)
 
-    monkeypatch.setattr(derivation, "_solve_cell", counting)
+    monkeypatch.setattr(derivation, "_exact_kernel", counting)
     cells = [(H3, 3, 3), (H3, 5, 1), (H4, 2, 2), (Polynomial([0, 2, 1]), 1, 0),
              (X, 0, 3)]
     for P, M, D in cells:
