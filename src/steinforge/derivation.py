@@ -62,36 +62,43 @@ subset, feasible exactly when those columns are linearly dependent, and
 only the cells that a rank test mod a prime cannot rule out reach the exact
 kernel. No Fraction is made between `poly.power_table` and the kernel.
 
-The exact kernel needs no rational Gauss-Jordan on the tall matrix. Each
-row of a cell is divided by its gcd, and one elimination modulo a prime p,
-at first 2^31 - 1, in Python ints, picks r pivot rows and columns, taking
-the columns last to first. Rank mod p <= rank over Q, so a cell with no
-free column mod p is infeasible for certain. Otherwise fraction-free
-Bareiss elimination on the r x r pivot minor gives one integer vector per
-free column f: nonzero at f, zero at every other free column. An exact
-check on every row gates them: A v = 0, and v zero at every column below f.
-Then the k = ncols - r vectors are independent kernel vectors, and the
-nullity is at most k, so they span the kernel. A vector that fails the
-check shows that the residues lost rank, over the whole matrix or over the
-columns above f, and the same elimination runs again under the next prime.
+The exact kernel needs no rational Gauss-Jordan on the tall matrix, and
+its answer needs no prime. Each row of a cell is divided by its gcd, and
+one fraction-free elimination (Bareiss 1968) runs on the integer rows in
+Python ints, taking the columns last to first. With r pivots taken, a
+column with no nonzero entry at or below row r is free. Otherwise the first
+row with one is swapped up to row r and pivots the column, and every row
+below is updated at the later columns by (lead * x - f * y) // prev: lead
+the new pivot, f the row's entry under it, y the pivot row's entry above x
+and prev the previous pivot (at first 1). By Sylvester's identity each
+entry of a row below k pivots is then the minor on the k pivot rows and
+that row, and on the k pivot columns and the entry's column, so every
+division is exact. Row swaps and skipped free columns keep this, since they
+only choose which rows and columns the minors take. A pivot row is final
+once taken, and its pivot is the leading minor of the pivots up to it.
 
-The retry ends. Take the column prefixes in the elimination order, last
-column first, and fix for each prefix one nonzero minor of the size of its
-rank over Q. A prime that divides none of these minors gives every prefix
-its rank over Q. Then the free columns mod p are the free columns over Q,
-and the pivot rows, independent over Q and as many as the rank, span the
-row space. The dependence of a free column f on the pivot columns above it
-is a kernel vector zero below f that satisfies the pivot rows, and the
-nonsingular minor makes it the only one, so it is f's Bareiss vector up to
-scale and passes both checks of the gate. Only finitely many primes divide
-those minors, so the loop ends.
+A column pivots exactly when it raises the rank of the columns taken before
+it, so the free columns are those of the rational row echelon form, and
+their number is the nullity. At a free column f met with r pivots, every
+row's minor on the pivot rows and itself, and on the pivot columns and f,
+is zero: on the pivot columns and f, each row lies in the span of the pivot
+rows. So the vector that satisfies the r pivot rows, is the leading minor
+of all r pivots at f and is zero off f and the pivot columns, is a kernel
+vector of the whole matrix. Back-substitution over the final pivot rows
+finds it; its entries are integers by Cramer's rule, so each division there
+is exact too. Divided by the gcd of its entries, it is nonzero at f and zero
+below f and at every other free column.
 
-A basis that passes the gate is in one canonical form: in increasing
-leading column, each vector's leading column is its own free column and
-every other vector is zero there. That is the kernel's reduced row echelon
-basis up to the scale of each vector, and it is unique, so the operator and
-basis reported do not depend on the prime; `normalize_operator` fixes each
-scale. The first vector has the smallest leading column, hence the
+A prime enters only as a screen: a cell (`minimal_scan`) or a block
+(`_block_kernel`) whose residues modulo _PRIME have full column rank has
+full rank over Q, since a minor nonzero mod p is nonzero over Q, and is
+infeasible for certain; any other goes to the elimination.
+
+These vectors are in one canonical form: in increasing leading column, each
+vector's leading column is its own free column and every other vector is
+zero there. That is the kernel's reduced row echelon basis up to the scale
+of each vector, and it is unique; `normalize_operator` fixes each scale.
+The first vector has the smallest leading column, hence the
 lexicographically smallest support.
 
 The kernel is found block by block. Link two columns when some row is
@@ -101,15 +108,14 @@ matrix is block diagonal. The kernel of a block-diagonal matrix is the
 direct sum of its blocks' kernels, each extended by zero, so
 `_exact_kernel` solves each block on its own columns (`_block_kernel`); a
 block with no rows has every column free, and each gives its unit vector.
-Each block is an integer matrix of its own, so the gate and the retry proofs
-above hold for it as they stand: its gated vectors are its reduced row
-echelon basis up to scale, and its retry ends. A vector of one block is
-zero at every column of the others, their leading columns among them, so
-the union of the blocks' bases, sorted by leading column, is in the
-canonical form above: it is the cell's basis, whatever the prime of each
-block. Bareiss on one block multiplies its rows by its own pivots only; on
-the whole minor every row below a pivot carries the pivots of the other
-blocks too, and each block has a share of the columns.
+Each block is an integer matrix of its own, so the elimination above gives
+its reduced row echelon basis up to scale. A vector of one block is zero at
+every column of the others, their leading columns among them, so the union
+of the blocks' bases, sorted by leading column, is in the canonical form
+above: it is the cell's basis. The elimination of one block multiplies its
+rows by its own pivots only; on the whole matrix every row below a pivot
+carries the pivots of the other blocks too, and each block has a share of
+the columns.
 
 Odd P split so. If P(-z) = -P(z), P' is even, so the identity (k, j), with
 terms (k, j), (k - 2, j) and (k - 1 + l, j + 1) for even l, keeps the
@@ -126,7 +132,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import mul
 from typing import Iterable, Optional
 
 from .operators import DiffOperator, normalize_operator
@@ -421,18 +426,10 @@ def _cell_rows(grid: list[list[int]], D: int, m: int, d: int) -> list[list[int]]
     return rows
 
 
-# 2^31 - 1, the first prime of every elimination. Rank mod p never exceeds
-# rank over Q, and a prime this large rarely makes it drop below; products
-# of two residues stay below 2^62.
+# 2^31 - 1, the prime of the rank screens in `_block_kernel` and
+# `minimal_scan`. Rank mod p never exceeds rank over Q, and a prime this
+# large rarely makes it drop below; products of two residues stay below 2^62.
 _PRIME = 2_147_483_647
-
-
-def _next_prime(n: int) -> int:
-    """The least prime above n, by trial division."""
-    n += 1
-    while n < 2 or any(n % k == 0 for k in range(2, math.isqrt(n) + 1)):
-        n += 1
-    return n
 
 
 def _residues(rows: list[list[int]], columns: Iterable[int],
@@ -481,89 +478,66 @@ def _residue_pivots(columns: list[list[int]], p: int):
         yield c, row
 
 
-def _bareiss_kernel(rows: list[list[int]], ncols: int,
-                    pivots: list[tuple[int, int]],
-                    free: list[int]) -> list[list[int]]:
-    """One candidate kernel vector of `rows` per free column f, in integers.
-
-    `pivots` are the (row, column) pairs of `_residue_pivots`, whose minor is
-    nonsingular with nonzero leading principal minors. Fraction-free Bareiss
-    elimination (Bareiss 1968) triangulates that minor with every -rows[:, f]
-    as a right-hand side; then det * x is integral by Cramer's rule, so back
-    substitution divides exactly. Each vector carries det at f and det * x
-    at the pivot columns, divided by the gcd of its entries. It satisfies
-    the pivot rows; whether it satisfies the others is the caller's check.
-    """
-    n = len(pivots)
-    pivot_cols = [c for _, c in pivots]
-    m = [[rows[i][c] for c in pivot_cols] + [-rows[i][f] for f in free]
-         for i, _ in pivots]
-    prev = 1
-    for k in range(n):
-        top = m[k]
-        lead = top[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(lead * x - f * y) // prev
-                           for x, y in zip(row[k + 1:], top[k + 1:])]
-        prev = lead
-    det = prev
-    vectors = []
-    for j, fc in enumerate(free):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            s = det * row[n + j] - sum(map(mul, row[i + 1:n], y[i + 1:]))
-            y[i] = s // row[i]
-        vec = [0] * ncols
-        for c, v in zip(pivot_cols, y):
-            vec[c] = v
-        vec[fc] = det
-        g = math.gcd(*vec)
-        vectors.append([v // g for v in vec])
-    return vectors
-
-
-def _annihilates(rows: list[list[int]], vec: list[int]) -> bool:
-    support = [(c, v) for c, v in enumerate(vec) if v]
-    return all(sum(row[c] * v for c, v in support) == 0 for row in rows)
-
-
 def _block_kernel(rows: list[list[int]], ncols: int,
                   first_only: bool = False) -> list[list[int]]:
     """The kernel basis of one block's `rows`, in canonical form (module
-    docstring); with `first_only`, its first vector. [] means full rank.
+    docstring); with `first_only`, the vector of its largest free column.
+    [] means full rank.
 
-    One elimination mod the prime p, at first _PRIME, columns last to
-    first, finds the free columns; none means full rank mod p, hence over
-    Q. `_bareiss_kernel` gives one integer vector per free column f, in
-    increasing f (with `first_only`, for the first). The gate, A v = 0 and
-    v zero below f, passes them as the basis; when it rejects one, the
-    residues lost rank, and the elimination runs again under the next
-    prime, which ends (module docstring).
+    Full column rank mod _PRIME means full rank over Q. Otherwise one
+    fraction-free elimination (Bareiss 1968) runs on the integer rows,
+    columns last to first; a column with no nonzero entry left below the
+    pivots is free, and its vector comes by back-substitution over the
+    pivots taken before it, scaled by their leading minor (module
+    docstring). The vectors come in increasing free column.
     """
-    # Eliminating from the last column (highest order and degree) first
-    # keeps the leading minors, which bound every Bareiss entry, smaller in
-    # the early steps: on H7's frontier cells they stay under 1200 bits for
-    # the first 90 of 127 steps, where the natural order passes 2000 bits by
-    # step 45, and the five solves take 2.5 s instead of 6.6 s.
     order = range(ncols - 1, -1, -1)
-    p = _PRIME
-    while True:
-        pivots, free = [], []
-        for c, r in _residue_pivots(_residues(rows, order, p), p):
-            if r is None:
-                free.append(order[c])
-            else:
-                pivots.append((r, order[c]))
-        if not free:
-            return []
-        free = free[-1:] if first_only else free[::-1]
-        vectors = _bareiss_kernel(rows, ncols, pivots, free)
-        if all(not any(v[:f]) and _annihilates(rows, v)
-               for v, f in zip(vectors, free)):
-            return vectors
-        p = _next_prime(p)
+    if all(row is not None for _, row in
+           _residue_pivots(_residues(rows, order, _PRIME), _PRIME)):
+        return []
+    # Eliminating from the last column (highest order and degree) first
+    # keeps the leading minors, which bound every entry, smaller in the
+    # early steps: on H7's frontier cells they stay under 1200 bits for the
+    # first 90 of 127 steps, where the natural order passes 2000 bits by
+    # step 45, and the five solves take 2.5 s instead of 6.6 s.
+    m = [[row[c] for c in order] for row in rows]
+    pivots, free = [], []
+    prev = 1
+    for t in range(ncols):
+        r = len(pivots)
+        at = next((i for i in range(r, len(m)) if m[i][t]), None)
+        if at is None:
+            free.append((t, r))
+            if first_only:
+                break
+            continue
+        m[r], m[at] = m[at], m[r]
+        top = m[r]
+        lead = top[t]
+        for row in m[r + 1:]:
+            f = row[t]
+            if f:
+                row[t + 1:] = [(lead * x - f * y) // prev
+                               for x, y in zip(row[t + 1:], top[t + 1:])]
+            else:  # f = 0 in about half the updates on H7's cells
+                row[t + 1:] = [lead * x // prev for x in row[t + 1:]]
+        pivots.append(t)
+        prev = lead
+    vectors = []
+    for t, r in free:
+        det = m[r - 1][pivots[r - 1]] if r else 1
+        y = [0] * r
+        for k in range(r - 1, -1, -1):
+            row = m[k]
+            s = det * row[t] + sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
+            y[k] = -s // row[pivots[k]]
+        vec = [0] * ncols
+        for c, v in zip(pivots, y):
+            vec[order[c]] = v
+        vec[order[t]] = det
+        g = math.gcd(*vec)
+        vectors.append([v // g for v in vec])
+    return vectors[::-1]
 
 
 def _column_blocks(rows: list[list[int]], ncols: int):
@@ -608,9 +582,9 @@ def _column_blocks(rows: list[list[int]], ncols: int):
 def _exact_kernel(rows: list[list[int]], ncols: int,
                   first_only: bool = False) -> list[list[int]]:
     """The kernel basis of the integer matrix `rows`, in the canonical form
-    the module docstring proves; with `first_only`, the first vector of the
-    first block, in column order, whose kernel is nonzero. [] means the
-    kernel is zero.
+    the module docstring proves; with `first_only`, one vector: that of the
+    largest free column of the first block, in column order, whose kernel
+    is nonzero. [] means the kernel is zero.
 
     Each connected block of the nonzero pattern (`_column_blocks`) is
     solved on its own columns by `_block_kernel`, and its vectors are

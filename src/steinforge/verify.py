@@ -215,8 +215,9 @@ def verify_all(op: DiffOperator, P: Polynomial,
 
     The zero operator annihilates every f and an empty method list checks
     nothing, so a pass for either would certify nothing; both are refused
-    before any route runs, as is a coefficient of the operator or of P beyond
-    float range, which the float routes cannot evaluate.
+    before any route runs, as are an unknown method name and a coefficient
+    of the operator or of P beyond float range, which the float routes
+    cannot evaluate.
     """
     if op.is_zero:
         raise ValueError("the zero operator annihilates everything; nothing to verify")
@@ -230,6 +231,9 @@ def verify_all(op: DiffOperator, P: Polynomial,
             raise ValueError(f"{name} is beyond float range") from None
     if not methods:
         raise ValueError("no verification method given; nothing to verify")
+    for method in methods:
+        if method not in ("symbolic", "quadrature", "mc", "monte-carlo"):
+            raise ValueError(f"unknown verification method {method!r}")
     suite = tuple(suite) or default_suite()
     reports = []
     for method in methods:
@@ -237,10 +241,8 @@ def verify_all(op: DiffOperator, P: Polynomial,
             reports.append(verify_symbolic(op, P, max_degree))
         elif method == "quadrature":
             reports.append(verify_quadrature(op, P, suite, nodes, tol))
-        elif method in ("mc", "monte-carlo"):
-            reports.append(verify_monte_carlo(op, P, suite, samples, seed))
         else:
-            raise ValueError(f"unknown verification method {method!r}")
+            reports.append(verify_monte_carlo(op, P, suite, samples, seed))
     return reports
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from steinforge import cli
+from steinforge import cli, verify
 from steinforge.catalog import noncentral_chi2_operator
 from steinforge.cli import (MAX_DIGITS, PolynomialSyntaxError, build_parser,
                             main, parse_polynomial)
@@ -157,6 +157,18 @@ class TestExitCodes:
         assert main(["verify", "--catalog", "h3", "--methods", methods]) == 64
         captured = capsys.readouterr()
         assert captured.out == "" and "no verification method" in captured.err
+
+    def test_unknown_method_is_64_before_any_route(self, monkeypatch, capsys):
+        # a known route listed before the unknown name must not run first
+        def no_route(*args, **kwargs):
+            raise AssertionError("a route ran before the method list was checked")
+
+        monkeypatch.setattr(verify, "verify_monte_carlo", no_route)
+        assert main(["verify", "--catalog", "h3", "--methods", "mc,bogus",
+                     "--samples", "100000000"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown verification method 'bogus'\n"
 
     @pytest.mark.parametrize("content", [
         '{"coefficients": [["1/0"], ["1"]]}',    # zero denominator

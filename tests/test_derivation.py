@@ -15,7 +15,6 @@ from steinforge.derivation import (Certificate, DegeneratePushforward,
                                    DerivationError, DerivationResult, ScanResult,
                                    SearchBounds, _PRIME, _cell_rows, _reduce,
                                    _column_blocks, _exact_kernel, _grid_matrix,
-                                   _next_prime,
                                    _residue_pivots, _residues,
                                    default_bounds, derive_operator,
                                    ibp_identity, minimal_scan, operator_image,
@@ -82,14 +81,15 @@ def block_diagonal_matrices(draw):
 
 
 # Rank 2 with a 2-dimensional kernel; taken last column first, its residues
-# lose rank at column 2 although the whole matrix keeps rank 2 mod _PRIME
+# lose rank at column 2 although the whole matrix keeps rank 2 mod _PRIME, so
+# a residue elimination would take the wrong columns as free
 # (test_gate_rejects_a_vector_nonzero_below_its_free_column).
 RESIDUE_SHAPE_TRAP = [[Fraction(v) for v in row]
                       for row in ([0, 0, 1, 1], [1, 1, _PRIME, 0])]
 
 
 # RESIDUE_SHAPE_TRAP beside a second block, columns interleaved: the trap's
-# retry runs inside its block.
+# lost residue rank lies inside its block.
 TRAP_IN_BLOCKS = [[0, 0, 0, 0, 1, 0, 1],
                   [1, 0, 1, 0, _PRIME, 0, 0],
                   [0, 2, 0, 1, 0, 3, 0]]
@@ -140,14 +140,6 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             vec[pc] = -flipped[r][fc]
         basis.append(vec[::-1])
     return basis
-
-
-def _counting_next_prime(monkeypatch) -> list[int]:
-    """Record the argument of every `_next_prime` call in the returned list."""
-    calls: list[int] = []
-    monkeypatch.setattr(derivation, "_next_prime",
-                        lambda n: calls.append(n) or _next_prime(n))
-    return calls
 
 
 def _proportional_vectors(got, want) -> bool:
@@ -460,15 +452,13 @@ class TestExactKernel:
     @example(RESIDUE_SHAPE_TRAP)
     def test_matches_fraction_nullspace(self, matrix):
         # the Fraction reference's vectors in its order, each up to a
-        # nonzero scale, whether the residue rank is right or the gate has
-        # to retry under the next prime
+        # nonzero scale, whether or not the residue rank is right
         self.check_against_reference(matrix)
 
     def check_against_reference(self, matrix):
         """`_exact_kernel` gives integer vectors proportional to the
         `_nullspace` reference's, and with `first_only` one nonzero kernel
-        vector, which under a lost rank the gate may pass although it is
-        not the reference's first."""
+        vector."""
         ncols = len(matrix[0])
         rows = self.integer_rows(matrix)
         reference = _nullspace([row[:] for row in matrix], ncols)
@@ -488,9 +478,9 @@ class TestExactKernel:
     @example([[Fraction(0)] * 3] * 2)
     @example(RESIDUE_SHAPE_TRAP)
     def test_kernel_is_in_canonical_form(self, matrix):
-        # at the first prime, after the retries the examples force, and in
-        # the reference: leading columns strictly increase, and each vector
-        # is zero at every other vector's leading column
+        # in the kernel and in the reference: leading columns strictly
+        # increase, and each vector is zero at every other vector's leading
+        # column
         ncols = len(matrix[0])
         for kernel in (_exact_kernel(self.integer_rows(matrix), ncols),
                        _nullspace([row[:] for row in matrix], ncols)):
@@ -499,55 +489,40 @@ class TestExactKernel:
             assert all(vec[c] == 0 for i, vec in enumerate(kernel)
                        for j, c in enumerate(leads) if i != j)
 
-    def test_gate_rejects_a_vector_nonzero_below_its_free_column(self, monkeypatch):
-        # mod _PRIME column 2 depends on column 3, so 2 is free, but over Q
-        # its vector needs column 1: both vectors annihilate the rows, yet
-        # (1, -1, 0, 0) is not the echelon row (p, 0, -1, 1); the gate must
-        # send the cell to the next prime, which gives the echelon rows
-        retries = _counting_next_prime(monkeypatch)
+    def test_gate_rejects_a_vector_nonzero_below_its_free_column(self):
+        # mod _PRIME column 2 depends on column 3, so a residue elimination
+        # takes 2 as free, but over Q its vector needs column 1: (1, -1, 0, 0)
+        # annihilates the rows, yet it is not the echelon row (p, 0, -1, 1).
+        # The exact elimination gives the echelon rows.
         rows = self.integer_rows(RESIDUE_SHAPE_TRAP)
         assert _exact_kernel(rows, 4) == [[_PRIME, 0, -1, 1], [0, _PRIME, -1, 1]]
-        assert retries == [_PRIME]
 
     def test_retry_walks_the_primes_until_the_rank_holds(self, monkeypatch):
-        # column 2's entry 105 = 3 * 5 * 7 vanishes mod each of those primes,
-        # so the gate rejects the candidates three times; 11 keeps the rank
+        # column 2's entry 105 = 3 * 5 * 7 vanishes mod each of those primes;
+        # at a screen prime of 3 the exact elimination still gives the
+        # echelon rows
         monkeypatch.setattr(derivation, "_PRIME", 3)
-        retries = _counting_next_prime(monkeypatch)
         assert _exact_kernel([[0, 0, 1, 1], [1, 1, 105, 0]], 4) == [
             [105, 0, -1, 1], [0, 105, -1, 1]]
-        assert retries == [3, 5, 7]
 
     def test_gate_is_what_catches_a_lost_rank(self, monkeypatch):
-        # negative control: det [[1, 1], [1, 4]] = 3, so mod 3 column 0 is
-        # free and its candidate (1, -1) fails the second row. Without the
-        # gate that wrong kernel is returned; with it, one retry under 5
-        # shows full rank.
+        # negative control against trusting residues: det [[1, 1], [1, 4]]
+        # = 3, so mod 3 column 0 is free and (1, -1) would be its vector,
+        # yet it fails the second row; the exact elimination finds full rank
         rows = [[1, 1], [1, 4]]
         monkeypatch.setattr(derivation, "_PRIME", 3)
-        retries = _counting_next_prime(monkeypatch)
+        order = [1, 0]
+        assert [order[c] for c, row in
+                _residue_pivots(_residues(rows, order, 3), 3) if row is None] == [0]
         assert _exact_kernel(rows, 2) == []
-        assert retries == [3]
-        monkeypatch.setattr(derivation, "_annihilates", lambda rows, vec: True)
-        assert _exact_kernel(rows, 2) == [[1, -1]]
-
-    def test_next_prime_matches_a_sieve(self):
-        sieve = [True] * 10_000
-        sieve[0] = sieve[1] = False
-        for n in range(2, 100):
-            if sieve[n]:
-                sieve[n * n::n] = [False] * len(sieve[n * n::n])
-        primes = [n for n, is_prime in enumerate(sieve) if is_prime]
-        assert [_next_prime(n) for n in range(-2, 9973)] == [
-            next(q for q in primes if q > n) for n in range(-2, 9973)]
-        assert _next_prime(_PRIME) == 2_147_483_659
 
     @settings(deadline=None, max_examples=200)
     @given(rational_matrices())
     @example(RESIDUE_SHAPE_TRAP)
     @example([[Fraction(3), Fraction(6)], [Fraction(1), Fraction(5)]])
     def test_matches_fraction_nullspace_at_prime_three(self, matrix):
-        # mod 3 the residues often lose rank, so most retries happen here
+        # mod 3 the residues often lose rank, so the screen passes most
+        # matrices to the exact elimination
         with mock.patch.object(derivation, "_PRIME", 3):
             self.check_against_reference(matrix)
 
@@ -585,15 +560,13 @@ class TestExactKernel:
 
     def test_prime_three_retries_and_grids_match(self, monkeypatch):
         # mod 3 many residue ranks fall short of the rational rank, so the
-        # exact check must reject candidates and a larger prime must decide
+        # screens let cells through that the exact elimination must decide
         cases = [(H3, 5, 4), (H4, 5, 4), (hermite(5), 5, 4)]
         references = [minimal_scan(*case).to_dict() for case in cases]
         derived = brute_force_scan(H3, 5, 4).to_dict()
         monkeypatch.setattr(derivation, "_PRIME", 3)
-        retries = _counting_next_prime(monkeypatch)
         for case, reference in zip(cases, references):
             assert minimal_scan(*case).to_dict() == reference
-        assert retries
         assert brute_force_scan(H3, 5, 4).to_dict() == derived
 
 
@@ -606,11 +579,10 @@ class TestBlockSplit:
     @staticmethod
     def check_split(matrix):
         """`_exact_kernel` on a block-diagonal matrix gives the `_nullspace`
-        reference's vectors, each up to scale; with `first_only`, one
-        nonzero kernel vector. Whenever the entries keep every minor below
-        _PRIME (block_diagonal_matrices), it is the reference's vector with
-        the smallest leading column inside the first block, in column order,
-        that holds a reference leading column."""
+        reference's vectors, each up to scale; with `first_only`, the
+        reference's vector with the largest leading column inside the first
+        block, in column order, that holds a reference leading column,
+        whatever the screen's prime."""
         ncols = len(matrix[0])
         rows = [row for row in matrix if any(row)]
         reference = _nullspace([[Fraction(v) for v in row] for row in matrix],
@@ -618,15 +590,11 @@ class TestBlockSplit:
         assert _proportional_vectors(_exact_kernel(rows, ncols), reference)
         first = _exact_kernel(rows, ncols, first_only=True)
         assert len(first) == (1 if reference else 0)
-        for vec in first:
-            assert any(vec) and all(
-                sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
-        if reference and derivation._PRIME == _PRIME and all(
-                abs(v) <= 5 for row in rows for v in row):
+        if reference:
             leads = [next(c for c, v in enumerate(vec) if v) for vec in reference]
             block = next(columns for columns, _ in _column_blocks(rows, ncols)
                          if any(c in columns for c in leads))
-            want = next(vec for vec, c in zip(reference, leads) if c in block)
+            want = [vec for vec, c in zip(reference, leads) if c in block][-1]
             assert _proportional_vectors(first, [want])
 
     @settings(deadline=None, max_examples=200)
@@ -643,22 +611,20 @@ class TestBlockSplit:
     @example(TRAP_IN_BLOCKS)
     @example([[1, 0, 1], [0, 1, 0], [1, 0, 4]])
     def test_matches_fraction_nullspace_at_prime_three(self, matrix):
-        # mod 3 blocks often lose rank, so the retry runs inside a block
+        # mod 3 blocks often lose rank, so the screen passes them to the
+        # exact elimination
         with mock.patch.object(derivation, "_PRIME", 3):
             self.check_split(matrix)
 
     def test_retry_runs_inside_one_block(self, monkeypatch):
-        # det [[1, 1], [1, 4]] = 3: mod 3 that block's candidate fails the
-        # gate and 5 shows full rank; the other block keeps its vector
+        # det [[1, 1], [1, 4]] = 3: mod 3 that block passes the screen, and
+        # the exact elimination finds full rank; the other block keeps its
+        # vector
         monkeypatch.setattr(derivation, "_PRIME", 3)
-        retries = _counting_next_prime(monkeypatch)
         rows = [[1, 0, 1], [0, 1, 0], [1, 0, 4]]
         assert _rows_blocks(rows, 3) == 2
         assert _exact_kernel([row + [0] for row in rows], 4) == [[0, 0, 0, 1]]
-        assert retries == [3]
-        retries.clear()
         assert _exact_kernel([[1, 1, 0], [1, 4, 0], [0, 0, 2]], 3) == []
-        assert retries == [3]
 
     def test_odd_hermite_cell_splits_and_even_does_not(self):
         # P(-z) = -P(z) keeps the parity of d + m apart (module docstring)

@@ -28,6 +28,34 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+H7 = "x^7-21x^5+105x^3-105x"
+H8 = "x^8-28x^6+210x^4-420x^2+105"
+
+# The frontier cells the captured passes leave out, about 1 s in all: exit
+# code and stdout SHA-256 of each, as captured. x^3-3x (9, 9) has nullity 54;
+# H8 is an even P, so its cells have a single block.
+HARD_CELLS = {
+    f"derive --poly {H7} --order 9 --degree 12": (
+        0, "ba2baa4949f24397e076a7e4770d373eecb6c8a94a62d978e63cc748cebc80ff"),
+    f"derive --poly {H7} --order 25 --degree 6": (
+        0, "708ba47bcbdd404ddeb957a296841cf113c29841baea941e646998e75220843d"),
+    f"scan --poly {H7} --max-order 16 --max-degree 12": (
+        0, "822a355b415be4e3d15835bc199cbc35fe32fde9fa9ca6380e8a857a35935595"),
+    "derive --poly x^3-3x --order 9 --degree 9": (
+        0, "6b83bbcc05c5e8f4674c4a651b81df7be6fa9fef68c43eaec460745bf80cd1f4"),
+    f"derive --poly {H8} --order 4 --degree 10": (
+        0, "7aac39344ae1de6f39666ad4319c47046ad7b0aa1803aaf51fd63cabdeceddba"),
+    f"derive --poly {H8} --order 4 --degree 9": (
+        2, "043fd9ed7b30c85f0a3ac7f983fdf03102502afa33171dcaae362888cde02643"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HARD_CELLS))
+def test_hard_cell_matches_golden_digest(key, capsys):
+    code = main(key.split(" "))
+    assert (code, _sha256(capsys.readouterr().out)) == HARD_CELLS[key]
+
+
 def test_payloads_cover_the_seed_independent_jobs():
     assert len(PAYLOADS) == 10
 
