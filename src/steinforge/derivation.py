@@ -54,13 +54,14 @@ and its other levels are the residues of the levels above, shifted down by
 M - m. D + 1 sweeps of M levels give the (M + 1)(D + 1) columns, all over
 the one scale of degree D, written as ints straight into one matrix.
 
-So one exact kernel, `_exact_kernel`, decides a cell from its rows, a
-column selection of that matrix, and `_found` builds the result from a
-nonzero kernel. `derive_operator` builds the cell's matrix and solves once.
-`minimal_scan` builds the grid's matrix once; cell (m, d) is then a column
-subset, feasible exactly when those columns are linearly dependent, and
-only the cells that a rank test mod a prime cannot rule out reach the exact
-kernel. No Fraction is made between `poly.power_table` and the kernel.
+So one exact kernel, `_exact_kernel`, yields a cell's kernel vectors one
+at a time from its rows, a column selection of that matrix, and `_found`
+builds the result from all of them. `derive_operator` builds the cell's
+matrix and drains its kernel. `minimal_scan` builds the grid's matrix once;
+cell (m, d) is then a column subset, feasible exactly when those columns
+are linearly dependent, and only the cells that a rank test mod a prime
+cannot rule out reach the exact kernel, where one pulled vector decides the
+status. No Fraction is made between `poly.power_table` and the kernel.
 
 The exact kernel needs no rational Gauss-Jordan on the tall matrix, and
 its answer needs no prime. Each row of a cell is divided by its gcd, and
@@ -84,22 +85,24 @@ row's minor on the pivot rows and itself, and on the pivot columns and f,
 is zero: on the pivot columns and f, each row lies in the span of the pivot
 rows. So the vector that satisfies the r pivot rows, is the leading minor
 of all r pivots at f and is zero off f and the pivot columns, is a kernel
-vector of the whole matrix. Back-substitution over the final pivot rows
-finds it; its entries are integers by Cramer's rule, so each division there
-is exact too. Divided by the gcd of its entries, it is nonzero at f and zero
-below f and at every other free column.
+vector of the whole matrix. That leading minor is prev, and the pivot
+rows never change again, so the vector is found where f is met, by
+back-substitution over those rows, and yielded before any later column is
+eliminated. Its entries are integers by Cramer's rule, so each division
+there is exact too. Divided by the gcd of its entries, it is nonzero at f
+and zero below f and at every other free column.
 
 A prime enters only as a screen: a cell (`minimal_scan`) or a block
 (`_block_kernel`) whose residues modulo _PRIME have full column rank has
 full rank over Q, since a minor nonzero mod p is nonzero over Q, and is
 infeasible for certain; any other goes to the elimination.
 
-These vectors are in one canonical form: in increasing leading column, each
-vector's leading column is its own free column and every other vector is
-zero there. That is the kernel's reduced row echelon basis up to the scale
-of each vector, and it is unique; `normalize_operator` fixes each scale.
-The first vector has the smallest leading column, hence the
-lexicographically smallest support.
+Sorted by leading column, which `_found` does, these vectors are in one
+canonical form: each vector's leading column is its own free column and
+every other vector is zero there. That is the kernel's reduced row echelon
+basis up to the scale of each vector, and it is unique; `normalize_operator`
+fixes each scale. The first vector has the smallest leading column, hence
+the lexicographically smallest support.
 
 The kernel is found block by block. Link two columns when some row is
 nonzero at both, and take the connected blocks of the links: every row is
@@ -111,11 +114,11 @@ block with no rows has every column free, and each gives its unit vector.
 Each block is an integer matrix of its own, so the elimination above gives
 its reduced row echelon basis up to scale. A vector of one block is zero at
 every column of the others, their leading columns among them, so the union
-of the blocks' bases, sorted by leading column, is in the canonical form
-above: it is the cell's basis. The elimination of one block multiplies its
-rows by its own pivots only; on the whole matrix every row below a pivot
-carries the pivots of the other blocks too, and each block has a share of
-the columns.
+of the blocks' bases, sorted by leading column in `_found`, is in the
+canonical form above: it is the cell's basis. The elimination of one
+block multiplies its rows by its own pivots only; on the whole matrix every
+row below a pivot carries the pivots of the other blocks too, and each
+block has a share of the columns.
 
 Odd P split so. If P(-z) = -P(z), P' is even, so the identity (k, j), with
 terms (k, j), (k - 2, j) and (k - 1 + l, j + 1) for even l, keeps the
@@ -132,7 +135,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .operators import DiffOperator, normalize_operator
 from .poly import Polynomial, power_table
@@ -151,6 +154,13 @@ class DerivationError(ValueError):
 # 64; the grids in use reach 20x16 (H9).
 MAX_BOUND = 64
 
+# Largest grid matrix of a derive or scan, in entries. For P = x^1000 on a
+# 2-core x86_64 host (Python 3.11), derive_operator took 4.7 s at 345 MB
+# peak at (24, 24), 30 M entries, and 13.0 s at 832 MB at (32, 32), 70 M
+# entries. The largest cells in use are far below: H5 at (64, 64) is
+# 2.44 M entries, x at (64, 64) 0.55 M and H11 at (61, 10) 0.49 M.
+MAX_GRID_ENTRIES = 2 ** 25
+
 
 class DegeneratePushforward(DerivationError):
     """P is constant: W carries no randomness to integrate by parts."""
@@ -159,13 +169,20 @@ class DegeneratePushforward(DerivationError):
 def check_input(P: Polynomial, max_order: int, max_coeff_degree: int) -> None:
     """Refuse a derive's or scan's input before any work: a negative bound
     or one above MAX_BOUND, then a constant P, which has no identity to
-    search."""
+    search, then a grid matrix (`_grid_matrix`, before its all-zero rows
+    are dropped) of more than MAX_GRID_ENTRIES entries."""
     if max_order < 0 or max_coeff_degree < 0:
         raise DerivationError("order and degree bounds must be nonnegative")
     if max_order > MAX_BOUND or max_coeff_degree > MAX_BOUND:
         raise DerivationError(f"order and degree bounds must be at most {MAX_BOUND}")
-    if P.degree < 1:
+    p = P.degree
+    if p < 1:
         raise DegeneratePushforward("P is constant")
+    entries = (p * max_coeff_degree + 1 + max_order * max(p - 1, 1)) * \
+        (max_order + 1) * (max_coeff_degree + 1)
+    if entries > MAX_GRID_ENTRIES:
+        raise DerivationError(f"the grid matrix would hold {entries} entries, "
+                              f"more than {MAX_GRID_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -478,38 +495,45 @@ def _residue_pivots(columns: list[list[int]], p: int):
         yield c, row
 
 
-def _block_kernel(rows: list[list[int]], ncols: int,
-                  first_only: bool = False) -> list[list[int]]:
-    """The kernel basis of one block's `rows`, in canonical form (module
-    docstring); with `first_only`, the vector of its largest free column.
-    [] means full rank.
+def _block_kernel(rows: list[list[int]], ncols: int) -> Iterator[list[int]]:
+    """Yield the canonical kernel basis (module docstring) of one block's
+    `rows`, one vector per free column, in decreasing free column; none at
+    full rank.
 
     Full column rank mod _PRIME means full rank over Q. Otherwise one
     fraction-free elimination (Bareiss 1968) runs on the integer rows,
     columns last to first; a column with no nonzero entry left below the
-    pivots is free, and its vector comes by back-substitution over the
-    pivots taken before it, scaled by their leading minor (module
-    docstring). The vectors come in increasing free column.
+    pivots is free, and its vector is yielded there, by back-substitution
+    over the pivots taken before it, scaled by their leading minor `prev`
+    (module docstring).
     """
     order = range(ncols - 1, -1, -1)
     if all(row is not None for _, row in
            _residue_pivots(_residues(rows, order, _PRIME), _PRIME)):
-        return []
+        return
     # Eliminating from the last column (highest order and degree) first
     # keeps the leading minors, which bound every entry, smaller in the
     # early steps: on H7's frontier cells they stay under 1200 bits for the
     # first 90 of 127 steps, where the natural order passes 2000 bits by
     # step 45, and the five solves take 2.5 s instead of 6.6 s.
     m = [[row[c] for c in order] for row in rows]
-    pivots, free = [], []
+    pivots = []
     prev = 1
     for t in range(ncols):
         r = len(pivots)
         at = next((i for i in range(r, len(m)) if m[i][t]), None)
         if at is None:
-            free.append((t, r))
-            if first_only:
-                break
+            y = [0] * r
+            for k in range(r - 1, -1, -1):
+                row = m[k]
+                s = prev * row[t] + sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
+                y[k] = -s // row[pivots[k]]
+            vec = [0] * ncols
+            for c, v in zip(pivots, y):
+                vec[order[c]] = v
+            vec[order[t]] = prev
+            g = math.gcd(*vec)
+            yield [v // g for v in vec]
             continue
         m[r], m[at] = m[at], m[r]
         top = m[r]
@@ -523,21 +547,6 @@ def _block_kernel(rows: list[list[int]], ncols: int,
                 row[t + 1:] = [lead * x // prev for x in row[t + 1:]]
         pivots.append(t)
         prev = lead
-    vectors = []
-    for t, r in free:
-        det = m[r - 1][pivots[r - 1]] if r else 1
-        y = [0] * r
-        for k in range(r - 1, -1, -1):
-            row = m[k]
-            s = det * row[t] + sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
-            y[k] = -s // row[pivots[k]]
-        vec = [0] * ncols
-        for c, v in zip(pivots, y):
-            vec[order[c]] = v
-        vec[order[t]] = det
-        g = math.gcd(*vec)
-        vectors.append([v // g for v in vec])
-    return vectors[::-1]
 
 
 def _column_blocks(rows: list[list[int]], ncols: int):
@@ -579,39 +588,37 @@ def _column_blocks(rows: list[list[int]], ncols: int):
     return list(split.values())
 
 
-def _exact_kernel(rows: list[list[int]], ncols: int,
-                  first_only: bool = False) -> list[list[int]]:
-    """The kernel basis of the integer matrix `rows`, in the canonical form
-    the module docstring proves; with `first_only`, one vector: that of the
+def _exact_kernel(rows: list[list[int]], ncols: int) -> Iterator[list[int]]:
+    """Yield the canonical kernel basis (module docstring) of the integer
+    matrix `rows`, block by block, unsorted; none when the kernel is zero.
+    A caller pulls only what it reads: the first vector is that of the
     largest free column of the first block, in column order, whose kernel
-    is nonzero. [] means the kernel is zero.
+    is nonzero, and no later column of that block is eliminated before it.
 
     Each connected block of the nonzero pattern (`_column_blocks`) is
     solved on its own columns by `_block_kernel`, and its vectors are
-    mapped back to the cell's columns and sorted by leading column. A block
-    with no rows gives the unit vector of each of its columns.
+    mapped back to the cell's columns as they come. A block with no rows
+    gives the unit vector of each of its columns.
     """
-    vectors = []
     for columns, block_rows in _column_blocks(rows, ncols):
-        for v in _block_kernel(block_rows, len(columns), first_only):
+        for v in _block_kernel(block_rows, len(columns)):
             vec = [0] * ncols
             for c, x in zip(columns, v):
                 vec[c] = x
-            vectors.append(vec)
-        if first_only and vectors:
-            return vectors
-    return sorted(vectors, key=lambda v: next(c for c, x in enumerate(v) if x))
+            yield vec
 
 
-def _found(P: Polynomial, kernel: list[list[int]],
+def _found(P: Polynomial, kernel: Iterable[list[int]],
            bounds: SearchBounds) -> DerivationResult:
     """The found result of cell (M, D) = (bounds.max_order,
-    bounds.max_coeff_degree) from its nonempty `kernel` (`_exact_kernel`),
-    vector entry m*(D + 1) + d the coefficient of x^d f^(m). The vectors,
-    in canonical form (module docstring), are the basis; the operator is
-    the first, with its certificate replayed through `_reduce`.
+    bounds.max_coeff_degree) from every vector of its nonzero kernel
+    (`_exact_kernel`), vector entry m*(D + 1) + d the coefficient of
+    x^d f^(m). Sorted by leading column, the vectors are in canonical form
+    (module docstring) and are the basis; the operator is the first, with
+    its certificate replayed through `_reduce`.
     """
     M, D = bounds.max_order, bounds.max_coeff_degree
+    kernel = sorted(kernel, key=lambda v: next(c for c, x in enumerate(v) if x))
     basis = tuple(normalize_operator(DiffOperator(tuple(
         Polynomial(vec[m * (D + 1):(m + 1) * (D + 1)]) for m in range(M + 1))))
         for vec in kernel)
@@ -643,9 +650,9 @@ def derive_operator(P: Polynomial, max_order: int, max_coeff_degree: int,
     check_input(P, max_order, max_coeff_degree)
     bounds = default_bounds(P, max_order, max_coeff_degree)
     grid = _grid_matrix(P, max_order, max_coeff_degree)
-    kernel = _exact_kernel(_cell_rows(grid, max_coeff_degree, max_order,
-                                      max_coeff_degree),
-                           (max_order + 1) * (max_coeff_degree + 1))
+    kernel = list(_exact_kernel(_cell_rows(grid, max_coeff_degree, max_order,
+                                           max_coeff_degree),
+                                (max_order + 1) * (max_coeff_degree + 1)))
     if kernel:
         return _found(P, kernel, bounds)
     rounds = max(deepen_rounds, 0)
@@ -709,11 +716,11 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
     when d >= frontier. Row m decides its cells in increasing degree, up to
     the frontier and only until its first find:
     - a cell whose columns have full rank mod _PRIME is infeasible;
-    - any other cell is decided by `_exact_kernel` on the grid's columns:
-      until the first find for its whole kernel, from which `_found` builds
-      the result as `derive_operator` does on the cell's own columns, and
-      after it for one vector (`first_only`), since a later cell needs only
-      its status.
+    - any other cell is decided by `_exact_kernel` on the grid's columns,
+      from which it pulls one vector: none means infeasible. At the first
+      find it pulls the rest too, and `_found` builds the result as
+      `derive_operator` does on the cell's own columns; a later cell needs
+      only its status.
     The residue rank only rules cells out, and that is certain under any
     prime.
     """
@@ -735,12 +742,12 @@ def minimal_scan(P: Polynomial, max_order: int, max_coeff_degree: int) -> ScanRe
             [residues[mm * (D + 1) + d][:] for mm, d in columns], _PRIME)
             if row is None), frontier)
         for d in range(start, frontier):
-            kernel = _exact_kernel(_cell_rows(grid, D, m, d), (m + 1) * (d + 1),
-                                   first_only=result is not None)
-            if kernel:
+            kernel = _exact_kernel(_cell_rows(grid, D, m, d), (m + 1) * (d + 1))
+            first = next(kernel, None)
+            if first is not None:
                 if result is None:
                     minimal = (m, d)
-                    result = _found(P, kernel, default_bounds(P, m, d))
+                    result = _found(P, [first, *kernel], default_bounds(P, m, d))
                 frontier = d
                 break
         status.update(((m, d), "found" if d >= frontier else

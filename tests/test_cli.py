@@ -692,6 +692,7 @@ class TestInputLimits:
         ["derive", "--coeffs", "5", "--order", "3", "--degree", "3"],
         ["derive", "--coeffs", "0", "--order", "0", "--degree", "0"],
     ]
+    GRID_TOO_LARGE = ["derive", "--poly", "x^1000", "--order", "64", "--degree", "64"]
 
     @pytest.mark.parametrize("argv", [
         ["derive", "--poly", "x", "--order", "65", "--degree", "0"],
@@ -701,18 +702,26 @@ class TestInputLimits:
         ["scan", "--poly", "x", "--max-order", "0", "--max-degree", "10000"],
         ["conjecture", "--hermite", "5", "--max-order", "65", "--max-degree", "1"],
         *CONSTANT_P,
+        GRID_TOO_LARGE,
     ])
     def test_bounds_above_cap_are_refused_first(self, argv, monkeypatch, capsys):
-        # a derive or scan of a constant P is refused by the same check, also
-        # before a scan's progress line
+        # a derive or scan of a constant P, or of a grid matrix too large to
+        # allocate, is refused by the same check, also before a scan's
+        # progress line
         def refuse(*args):
             raise AssertionError("columns reduced before the bounds were checked")
         monkeypatch.setattr("steinforge.derivation._grid_matrix", refuse)
         assert main(argv) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
-        reason = "P is constant" if argv in self.CONSTANT_P \
-            else "order and degree bounds must be at most 64"
+        if argv in self.CONSTANT_P:
+            reason = "P is constant"
+        elif argv == self.GRID_TOO_LARGE:
+            # (1000*64 + 1 + 64*999) rows by 65*65 columns
+            reason = ("the grid matrix would hold 540533825 entries, "
+                      "more than 33554432")
+        else:
+            reason = "order and degree bounds must be at most 64"
         assert captured.err == f"error: {reason}\n"
 
     # one digit past the limit on input integers

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from steinforge import derivation
 from steinforge.catalog import catalog, quadratic_operator
-from steinforge.derivation import (Certificate, DegeneratePushforward,
-                                   DerivationError, DerivationResult, ScanResult,
-                                   SearchBounds, _PRIME, _cell_rows, _reduce,
+from steinforge.derivation import (MAX_GRID_ENTRIES, Certificate,
+                                   DegeneratePushforward, DerivationError,
+                                   DerivationResult, ScanResult, SearchBounds,
+                                   _PRIME, _cell_rows, _reduce, check_input,
                                    _column_blocks, _exact_kernel, _grid_matrix,
                                    _residue_pivots, _residues,
                                    default_bounds, derive_operator,
@@ -83,7 +84,7 @@ def block_diagonal_matrices(draw):
 # Rank 2 with a 2-dimensional kernel; taken last column first, its residues
 # lose rank at column 2 although the whole matrix keeps rank 2 mod _PRIME, so
 # a residue elimination would take the wrong columns as free
-# (test_gate_rejects_a_vector_nonzero_below_its_free_column).
+# (test_kernel_vector_is_zero_below_its_free_column).
 RESIDUE_SHAPE_TRAP = [[Fraction(v) for v in row]
                       for row in ([0, 0, 1, 1], [1, 1, _PRIME, 0])]
 
@@ -153,6 +154,12 @@ def _proportional_vectors(got, want) -> bool:
         if scale == 0 or any(a != scale * b for a, b in zip(g, w)):
             return False
     return True
+
+
+def _by_lead(kernel) -> list:
+    """The vectors of `kernel` sorted by leading column, as `_found` takes
+    them: the canonical order of `_nullspace`."""
+    return sorted(kernel, key=lambda v: next(c for c, x in enumerate(v) if x))
 
 
 def brute_force_scan(P, M, D) -> ScanResult:
@@ -381,6 +388,17 @@ class TestScan:
             with pytest.raises(DerivationError, match="nonnegative"):
                 minimal_scan(P, M, D)
 
+    def test_grid_budget_admits_the_largest_cells_in_use(self):
+        # H5 and x at (64, 64) and H11 at (61, 10) are the largest grids in
+        # use; x^1000 fits up to (24, 24), 29985625 entries
+        for P, M, D in ((hermite(5), 64, 64), (X, 64, 64), (hermite(11), 61, 10),
+                        (Polynomial.monomial(1000), 24, 24)):
+            check_input(P, M, D)
+        with pytest.raises(DerivationError, match=(
+                f"^the grid matrix would hold 33783776 entries, "
+                f"more than {MAX_GRID_ENTRIES}$")):
+            check_input(Polynomial.monomial(1000), 25, 25)
+
     @pytest.mark.parametrize("P,M,D", SCAN_CASES)
     def test_matches_per_cell_derivation(self, P, M, D):
         assert minimal_scan(P, M, D).to_dict() == \
@@ -399,9 +417,9 @@ class TestScan:
         exact_calls = []
         real = derivation._exact_kernel
 
-        def counting(rows, ncols, first_only=False):
+        def counting(rows, ncols):
             exact_calls.append(ncols)
-            return real(rows, ncols, first_only)
+            return real(rows, ncols)
 
         def no_derive(*args, **kwargs):
             raise AssertionError("minimal_scan solves cells on its own columns")
@@ -416,6 +434,26 @@ class TestScan:
         for case, reference in zip(SCAN_CASES, references):
             assert minimal_scan(*case).to_dict() == reference
         assert len(exact_calls) > at_default_prime
+
+    @pytest.mark.parametrize("P,M,D", [(hermite(5), 10, 6), (hermite(7), 16, 12)])
+    def test_pulls_only_the_vectors_it_reads(self, monkeypatch, P, M, D):
+        # the first find drains its kernel for the basis; every later cell
+        # needs only its status, so it pulls at most one vector
+        pulls = []
+        real = derivation._exact_kernel
+
+        def counting(rows, ncols):
+            pulls.append(0)
+            call = len(pulls) - 1
+            for vec in real(rows, ncols):
+                pulls[call] += 1
+                yield vec
+
+        monkeypatch.setattr(derivation, "_exact_kernel", counting)
+        scan = minimal_scan(P, M, D)
+        first = next(call for call, n in enumerate(pulls) if n)
+        assert pulls[first] == scan.result.nullspace_dim
+        assert pulls[first + 1:] and all(n <= 1 for n in pulls[first + 1:])
 
     @pytest.mark.parametrize("P,M,D,replays", [
         (H3, 5, 4, 1), (hermite(5), 10, 6, 1), (H3, 2, 2, 0)])
@@ -457,19 +495,20 @@ class TestExactKernel:
 
     def check_against_reference(self, matrix):
         """`_exact_kernel` gives integer vectors proportional to the
-        `_nullspace` reference's, and with `first_only` one nonzero kernel
-        vector."""
+        `_nullspace` reference's, in its order once sorted by leading
+        column, and its first pulled vector is a nonzero kernel vector
+        exactly when the reference is nonempty."""
         ncols = len(matrix[0])
         rows = self.integer_rows(matrix)
         reference = _nullspace([row[:] for row in matrix], ncols)
-        kernel = _exact_kernel(rows, ncols)
+        kernel = list(_exact_kernel(rows, ncols))
         assert all(type(v) is int for vec in kernel for v in vec)
-        assert _proportional_vectors(kernel, reference)
-        first = _exact_kernel(rows, ncols, first_only=True)
-        assert len(first) == 1 if reference else first == []
-        for vec in first:
-            assert any(vec) and all(
-                sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+        assert _proportional_vectors(_by_lead(kernel), reference)
+        first = next(_exact_kernel(rows, ncols), None)
+        assert (first is not None) == bool(reference)
+        if first is not None:
+            assert any(first) and all(
+                sum(a * v for a, v in zip(row, first)) == 0 for row in matrix)
 
     @settings(deadline=None, max_examples=200)
     @given(rational_matrices())
@@ -478,34 +517,57 @@ class TestExactKernel:
     @example([[Fraction(0)] * 3] * 2)
     @example(RESIDUE_SHAPE_TRAP)
     def test_kernel_is_in_canonical_form(self, matrix):
-        # in the kernel and in the reference: leading columns strictly
-        # increase, and each vector is zero at every other vector's leading
-        # column
+        # in the kernel sorted as `_found` sorts it and in the reference:
+        # leading columns strictly increase, and each vector is zero at
+        # every other vector's leading column
         ncols = len(matrix[0])
-        for kernel in (_exact_kernel(self.integer_rows(matrix), ncols),
+        for kernel in (_by_lead(_exact_kernel(self.integer_rows(matrix), ncols)),
                        _nullspace([row[:] for row in matrix], ncols)):
             leads = [next(c for c, v in enumerate(vec) if v) for vec in kernel]
             assert all(a < b for a, b in zip(leads, leads[1:]))
             assert all(vec[c] == 0 for i, vec in enumerate(kernel)
                        for j, c in enumerate(leads) if i != j)
 
-    def test_gate_rejects_a_vector_nonzero_below_its_free_column(self):
+    @pytest.mark.parametrize("P,M,D", [(H3, 5, 4), (X, 3, 3)])
+    def test_found_basis_is_in_canonical_order(self, P, M, D):
+        # the kernel comes block by block, each in decreasing free column
+        # (H3 (5, 4) yields leading columns 8, 6, 0, 11, 5, 3, 1); `_found`
+        # sorts it into the reference's order, and the operator is first
+        ncols = (M + 1) * (D + 1)
+        rows = _cell_rows(_grid_matrix(P, M, D), D, M, D)
+        leads = [next(c for c, v in enumerate(vec) if v)
+                 for vec in _exact_kernel(rows, ncols)]
+        assert leads != sorted(leads)
+        r = derive_operator(P, M, D)
+        basis = []
+        for op in r.basis:
+            vec = [Fraction(0)] * ncols
+            for m, pm in enumerate(op.coefficients):
+                vec[m * (D + 1):m * (D + 1) + len(pm.coeffs)] = pm.coeffs
+            basis.append(vec)
+        reference = _nullspace([[Fraction(v) for v in row] for row in rows], ncols)
+        assert _proportional_vectors(basis, reference)
+        assert r.operator == r.basis[0]
+
+    def test_kernel_vector_is_zero_below_its_free_column(self):
         # mod _PRIME column 2 depends on column 3, so a residue elimination
         # takes 2 as free, but over Q its vector needs column 1: (1, -1, 0, 0)
         # annihilates the rows, yet it is not the echelon row (p, 0, -1, 1).
-        # The exact elimination gives the echelon rows.
+        # The exact elimination gives the echelon rows, in decreasing free
+        # column, the order it meets them
         rows = self.integer_rows(RESIDUE_SHAPE_TRAP)
-        assert _exact_kernel(rows, 4) == [[_PRIME, 0, -1, 1], [0, _PRIME, -1, 1]]
+        assert list(_exact_kernel(rows, 4)) == [
+            [0, _PRIME, -1, 1], [_PRIME, 0, -1, 1]]
 
-    def test_retry_walks_the_primes_until_the_rank_holds(self, monkeypatch):
+    def test_screen_prime_dividing_a_minor_keeps_the_exact_kernel(self, monkeypatch):
         # column 2's entry 105 = 3 * 5 * 7 vanishes mod each of those primes;
         # at a screen prime of 3 the exact elimination still gives the
         # echelon rows
         monkeypatch.setattr(derivation, "_PRIME", 3)
-        assert _exact_kernel([[0, 0, 1, 1], [1, 1, 105, 0]], 4) == [
-            [105, 0, -1, 1], [0, 105, -1, 1]]
+        assert list(_exact_kernel([[0, 0, 1, 1], [1, 1, 105, 0]], 4)) == [
+            [0, 105, -1, 1], [105, 0, -1, 1]]
 
-    def test_gate_is_what_catches_a_lost_rank(self, monkeypatch):
+    def test_residue_rank_loss_is_not_a_kernel(self, monkeypatch):
         # negative control against trusting residues: det [[1, 1], [1, 4]]
         # = 3, so mod 3 column 0 is free and (1, -1) would be its vector,
         # yet it fails the second row; the exact elimination finds full rank
@@ -514,7 +576,7 @@ class TestExactKernel:
         order = [1, 0]
         assert [order[c] for c, row in
                 _residue_pivots(_residues(rows, order, 3), 3) if row is None] == [0]
-        assert _exact_kernel(rows, 2) == []
+        assert list(_exact_kernel(rows, 2)) == []
 
     @settings(deadline=None, max_examples=200)
     @given(rational_matrices())
@@ -558,7 +620,7 @@ class TestExactKernel:
         got = list(_residue_pivots(_residues(rows, range(ncols), prime), prime))
         assert got == self.dense_pivots(rows, ncols, prime)
 
-    def test_prime_three_retries_and_grids_match(self, monkeypatch):
+    def test_prime_three_grids_match(self, monkeypatch):
         # mod 3 many residue ranks fall short of the rational rank, so the
         # screens let cells through that the exact elimination must decide
         cases = [(H3, 5, 4), (H4, 5, 4), (hermite(5), 5, 4)]
@@ -579,23 +641,25 @@ class TestBlockSplit:
     @staticmethod
     def check_split(matrix):
         """`_exact_kernel` on a block-diagonal matrix gives the `_nullspace`
-        reference's vectors, each up to scale; with `first_only`, the
-        reference's vector with the largest leading column inside the first
-        block, in column order, that holds a reference leading column,
-        whatever the screen's prime."""
+        reference's vectors, each up to scale, once sorted by leading
+        column. Its first pulled vector exists exactly when the reference
+        is nonempty, and is the reference's vector with the largest leading
+        column inside the first block, in column order, that holds a
+        reference leading column, whatever the screen's prime."""
         ncols = len(matrix[0])
         rows = [row for row in matrix if any(row)]
         reference = _nullspace([[Fraction(v) for v in row] for row in matrix],
                                ncols)
-        assert _proportional_vectors(_exact_kernel(rows, ncols), reference)
-        first = _exact_kernel(rows, ncols, first_only=True)
-        assert len(first) == (1 if reference else 0)
+        assert _proportional_vectors(_by_lead(_exact_kernel(rows, ncols)),
+                                     reference)
+        first = next(_exact_kernel(rows, ncols), None)
+        assert (first is not None) == bool(reference)
         if reference:
             leads = [next(c for c, v in enumerate(vec) if v) for vec in reference]
             block = next(columns for columns, _ in _column_blocks(rows, ncols)
                          if any(c in columns for c in leads))
             want = [vec for vec, c in zip(reference, leads) if c in block][-1]
-            assert _proportional_vectors(first, [want])
+            assert _proportional_vectors([first], [want])
 
     @settings(deadline=None, max_examples=200)
     @given(block_diagonal_matrices())
@@ -616,15 +680,15 @@ class TestBlockSplit:
         with mock.patch.object(derivation, "_PRIME", 3):
             self.check_split(matrix)
 
-    def test_retry_runs_inside_one_block(self, monkeypatch):
+    def test_screen_miss_stays_inside_one_block(self, monkeypatch):
         # det [[1, 1], [1, 4]] = 3: mod 3 that block passes the screen, and
         # the exact elimination finds full rank; the other block keeps its
         # vector
         monkeypatch.setattr(derivation, "_PRIME", 3)
         rows = [[1, 0, 1], [0, 1, 0], [1, 0, 4]]
         assert _rows_blocks(rows, 3) == 2
-        assert _exact_kernel([row + [0] for row in rows], 4) == [[0, 0, 0, 1]]
-        assert _exact_kernel([[1, 1, 0], [1, 4, 0], [0, 0, 2]], 3) == []
+        assert list(_exact_kernel([row + [0] for row in rows], 4)) == [[0, 0, 0, 1]]
+        assert list(_exact_kernel([[1, 1, 0], [1, 4, 0], [0, 0, 2]], 3)) == []
 
     def test_odd_hermite_cell_splits_and_even_does_not(self):
         # P(-z) = -P(z) keeps the parity of d + m apart (module docstring)
@@ -640,12 +704,12 @@ class TestBlockSplit:
         rows = _cell_rows(_grid_matrix(H3, 3, 5), 5, 3, 5)
         (a_cols, a_rows), (b_cols, b_rows) = _column_blocks(rows, 24)
         leads = [next(c for c, v in enumerate(vec) if v)
-                 for vec in _exact_kernel(rows, 24)]
+                 for vec in _by_lead(_exact_kernel(rows, 24))]
         a = next(c for c in leads if c in a_cols)
         b = next(c for c in leads if c in b_cols)
         coupled = rows + [[int(c in (a, b)) for c in range(24)]]
         assert _rows_blocks(coupled, 24) == 1
-        kernel = _exact_kernel(coupled, 24)
+        kernel = _by_lead(_exact_kernel(coupled, 24))
         reference = _nullspace([[Fraction(v) for v in row] for row in coupled], 24)
         assert _proportional_vectors(kernel, reference)
         assert len(kernel) == len(leads) - 1
@@ -659,7 +723,7 @@ class TestBlockSplit:
                     full[c] = v
                 halves.append(full)
         assert len(halves) == len(leads) - 2
-        assert not _proportional_vectors(halves, reference)
+        assert not _proportional_vectors(_by_lead(halves), reference)
 
 
 class TestLeadingCoefficientReport:
@@ -846,7 +910,7 @@ def _grid_matches(grid, reference, P, M, D):
         for d in range(D + 1):
             cols = [mm * (D + 1) + dd for mm in range(m + 1) for dd in range(d + 1)]
             want = _nullspace([[row[c] for c in cols] for row in reference], len(cols))
-            got = _exact_kernel(_cell_rows(grid, D, m, d), len(cols))
+            got = _by_lead(_exact_kernel(_cell_rows(grid, D, m, d), len(cols)))
             if not _proportional_vectors(got, want):
                 return False
     return True
